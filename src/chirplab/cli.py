@@ -96,19 +96,23 @@ def cmd_mod(args) -> int:
 
 
 def _load_capture(args, need_beta=False):
+    """Read a capture and its sidecar; flags override sidecar values.
+
+    Returns (buffer, params, beta or None, sidecar dict).
+    """
     meta = iqfile.read_sidecar(args.in_path)
     try:
         sf = args.sf if args.sf else int(meta["sf"])
         bw = args.bw if args.bw else float(meta["bw"])
-        beta = args.beta if args.beta else (float(meta["beta"]) if need_beta else None)
+        beta = (args.beta if args.beta else float(meta["beta"])) if need_beta else None
     except KeyError as exc:
         raise iqfile.IqFormatError(f"sidecar missing key {exc}") from None
     params = LoraParams(sf=sf, bw=bw)
-    return iqfile.read_iq(args.in_path, params.bw), params, beta
+    return iqfile.read_iq(args.in_path, params.bw), params, beta, meta
 
 
 def cmd_demod(args) -> int:
-    buf, params, beta = _load_capture(args, need_beta=True)
+    buf, params, beta, _ = _load_capture(args, need_beta=True)
     rf = ReductionFactor(beta)
     m = rf.m(params)
     count = args.count if args.count is not None else len(buf) // m
@@ -148,12 +152,8 @@ def cmd_frame_encode(args) -> int:
 
 
 def cmd_frame_decode(args) -> int:
-    meta = iqfile.read_sidecar(args.in_path)
-    sf = args.sf if args.sf else int(meta["sf"])
-    bw = args.bw if args.bw else float(meta["bw"])
+    buf, params, _, meta = _load_capture(args)
     preamble_len = args.preamble_len if args.preamble_len else int(meta.get("preamble_len", framing.DEFAULT_PREAMBLE_LEN))
-    params = LoraParams(sf=sf, bw=bw)
-    buf = iqfile.read_iq(args.in_path, params.bw)
     offset = framing.detect_preamble(buf, params, preamble_len)
     payload, rf, diag = framing.decode_frame(buf, offset, params, preamble_len)
     print(" ".join(str(s) for s in payload))

@@ -24,8 +24,10 @@ from .chirps import (
     _base_ramp,
 )
 from .modem import (
+    NOISE_FLOOR_MIN,
     DemodResult,
     LengthMismatchError,
+    _peak_and_floor,
     _results_from_spectra,
     _window_spectra,
     demodulate,
@@ -36,6 +38,15 @@ DEFAULT_PREAMBLE_LEN = 8
 # Minimum peak-over-floor ratio for a window to count as a preamble hit;
 # the max/median ratio of pure-noise spectra stays well below this.
 PREAMBLE_PEAK_RATIO = 4.0
+# A preamble hit needs bin 0 to be the largest of the window's n bins. By
+# Parseval their squared magnitudes average to the window energy E, so a hit
+# has |X_0|^2 >= E, and X_0 is the window's correlation with the base upchirp.
+# The screen tests that bound at 0.9 E. The 10% margin absorbs rounding: a
+# window with a flat spectrum (one nonzero sample) meets the bound with
+# equality, and the screen's correlation comes from a 2n-point transform over
+# a block that may also hold a far louder neighbour. Tested at exactly E, the
+# flat windows of the exactness tests are lost to rounding.
+SCREEN_ENERGY_FRACTION = 0.9
 
 
 class PreambleNotFoundError(Exception):
@@ -121,42 +132,87 @@ def build_frame(spec: FrameSpec, params: LoraParams) -> IqBuffer:
     return IqBuffer(np.concatenate(parts), params.bw)
 
 
+def _screen_windows(samples: np.ndarray, n: int) -> np.ndarray:
+    """Which windows can be preamble hits, as a (len // n, n) grid.
+
+    Entry [i, a] is for the window at start a + i n; starts past len - n are
+    False. Tests |corr[s]|^2 >= SCREEN_ENERGY_FRACTION * E[s] at every start
+    by overlap-save: row b holds the starts [b n, (b + 1) n), whose windows
+    lie in samples [b n, (b + 2) n), that is in blocks b and b + 1, and one
+    2n-point transform gives the row's correlations. Each energy is a suffix sum of block b plus a prefix
+    sum of block b + 1, so it adds only samples inside its window. Non-finite
+    samples are zeroed so that they cannot spoil a block, and every window
+    holding one fails: its spectrum is NaN, so the exact check never counts
+    it a hit.
+    """
+    finite = np.isfinite(samples)
+    blocks = len(samples) // n
+    padded = np.zeros((blocks + 1) * n, dtype=np.complex128)
+    padded[: len(samples)] = np.where(finite, samples, 0)
+    segments = np.lib.stride_tricks.sliding_window_view(padded, 2 * n)[::n]
+    template = np.conj(np.fft.fft(_base_ramp(n), 2 * n))
+    corr = np.fft.ifft(np.fft.fft(segments, axis=1) * template, axis=1)[:, :n]
+    power = (padded.real ** 2 + padded.imag ** 2).reshape(blocks + 1, n)
+    energy = np.cumsum(power[:-1, ::-1], axis=1)[:, ::-1]
+    energy[:, 1:] += np.cumsum(power[1:, :-1], axis=1)
+    passing = corr.real ** 2 + corr.imag ** 2 >= SCREEN_ENERGY_FRACTION * energy
+    # samples no hit can hold: the non-finite ones and the padding past the end
+    unusable = np.ones(len(padded), dtype=bool)
+    unusable[: len(samples)] = ~finite
+    held = np.concatenate(([0], np.cumsum(unusable)))
+    return passing & (held[n: len(padded)] == held[: blocks * n]).reshape(blocks, n)
+
+
+def _first_run(samples: np.ndarray, params: LoraParams, align: int, need: int, peak_ratio: float):
+    """Start of the earliest run of need consecutive hits at one alignment, or None."""
+    n = params.n
+    count = (len(samples) - align) // n
+    windows = samples[align: align + count * n].reshape(count, n)
+    bins, peaks, floors = _peak_and_floor(_window_spectra(windows, params))
+    hit = (bins == 0) & (peaks / np.maximum(floors, NOISE_FLOOR_MIN) >= peak_ratio)
+    run = 0
+    for i, ok in enumerate(hit):
+        run = run + 1 if ok else 0
+        if run >= need:
+            return align + (i - run + 1) * n
+    return None
+
+
 def detect_preamble(buf: IqBuffer, params: LoraParams,
                     preamble_len: int = DEFAULT_PREAMBLE_LEN,
                     peak_ratio: float = PREAMBLE_PEAK_RATIO) -> int:
     """Locate the preamble start to integer-sample alignment.
 
-    Slides full-symbol dechirp windows in whole-symbol steps from every
-    candidate alignment in [0, n) and looks for at least preamble_len - 1
-    consecutive bin-0 decisions whose peak-over-floor ratio clears
+    Looks, over every alignment in [0, n), for at least preamble_len - 1
+    consecutive full-symbol windows (whole-symbol steps apart) whose dechirped
+    spectrum peaks at bin 0 with a peak-over-floor ratio of at least
     peak_ratio. Returns the sample offset where the earliest qualifying run
     begins; raises PreambleNotFoundError when nothing qualifies.
+
+    A screen over every start sample (see _screen_windows) rules out the
+    windows that cannot be hits, and only the alignments with a run of
+    preamble_len - 1 passing windows get the exact spectral check. As every
+    hit passes the screen, the result equals that of checking all n
+    alignments.
     """
     n = params.n
-    if len(buf) < n:
-        raise PreambleNotFoundError("buffer shorter than one symbol")
     need = max(1, preamble_len - 1)
+    if len(buf) < need * n:
+        raise PreambleNotFoundError(f"buffer shorter than the {need} symbols of a preamble run")
+    grid = _screen_windows(buf.samples, n)
+    runs = np.zeros((len(grid) + 1, n), dtype=np.intp)
+    np.cumsum(grid, axis=0, out=runs[1:])
+    qualifies = (runs[need:] - runs[:-need]) == need
+    aligns = np.flatnonzero(qualifies.any(axis=0))
+    # no run at an alignment can start before its first passing run
+    earliest = aligns + qualifies[:, aligns].argmax(axis=0) * n
     best = None
-    for align in range(n):
-        count = (len(buf) - align) // n
-        if count < need:
-            continue
-        windows = buf.samples[align: align + count * n].reshape(count, n)
-        mags = _window_spectra(windows, params)
-        peaks = mags.max(axis=1)
-        hit = (mags.argmax(axis=1) == 0)
-        masked = mags.copy()
-        masked[np.arange(count), mags.argmax(axis=1)] = np.nan
-        floors = np.maximum(np.nanmedian(masked, axis=1), 1e-30)
-        hit &= (peaks / floors) >= peak_ratio
-        run = 0
-        for i, ok in enumerate(hit):
-            run = run + 1 if ok else 0
-            if run >= need:
-                start = align + (i - run + 1) * n
-                if best is None or start < best:
-                    best = start
-                break
+    for bound, align in sorted(zip(earliest.tolist(), aligns.tolist())):
+        if best is not None and bound >= best:
+            break
+        start = _first_run(buf.samples, params, align, need, peak_ratio)
+        if start is not None and (best is None or start < best):
+            best = start
     if best is None:
         raise PreambleNotFoundError("no preamble run found above the peak-ratio threshold")
     return best

@@ -80,14 +80,25 @@ def decide_symbols(windows: np.ndarray, params: LoraParams) -> np.ndarray:
     return mags.argmax(axis=1)
 
 
-def _results_from_spectra(mags: np.ndarray) -> list[DemodResult]:
+def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a (count, n) magnitude block: argmax bin, its magnitude, and the noise floor.
+
+    The floor is the median of the n - 1 bins other than the peak. n is even
+    (a power of two), so that median is a single order statistic, and since
+    the peak is a row maximum, it is also order statistic (n - 2) // 2 of the
+    whole row: one partition, with no masked copy.
+    """
     count, n = mags.shape
     # argmax takes the lowest bin on ties
-    symbols = mags.argmax(axis=1)
-    peaks = mags[np.arange(count), symbols]
-    masked = mags.copy()
-    masked[np.arange(count), symbols] = np.nan
-    floors = np.nanmedian(masked, axis=1)
+    bins = mags.argmax(axis=1)
+    peaks = mags[np.arange(count), bins]
+    mid = (n - 2) // 2
+    floors = np.partition(mags, mid, axis=1)[:, mid]
+    return bins, peaks, floors
+
+
+def _results_from_spectra(mags: np.ndarray) -> list[DemodResult]:
+    symbols, peaks, floors = _peak_and_floor(mags)
     # both clamped: a zero-signal window reports 0 dB margin instead of -inf
     snr_db = 20.0 * np.log10(np.maximum(peaks, NOISE_FLOOR_MIN) / np.maximum(floors, NOISE_FLOOR_MIN))
     return [

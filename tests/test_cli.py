@@ -166,6 +166,19 @@ class TestFrameCommands:
             assert code == 0
             assert out.splitlines()[0] == "99 3 77"
 
+    @pytest.mark.parametrize("missing", ["sf", "bw"])
+    def test_sidecar_missing_key_exit_code(self, tmp_path, capsys, missing):
+        path = tmp_path / "frame.cf32"
+        run(capsys, "frame-encode", "--sf", 7, "--payload", "1 2", "--out", path)
+        meta = iqfile.sidecar_path(path)
+        with open(meta) as handle:
+            lines = [line for line in handle if not line.startswith(f"{missing}=")]
+        with open(meta, "w") as handle:
+            handle.writelines(lines)
+        code, _, err = run(capsys, "frame-decode", "--in", path)
+        assert code == cli.EXIT_BAD_FILE
+        assert missing in err
+
     def test_no_preamble_exit_code(self, tmp_path, capsys):
         path = tmp_path / "noise.cf32"
         rng = np.random.default_rng(1)

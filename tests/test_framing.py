@@ -24,6 +24,8 @@ from chirplab.framing import (
 )
 from chirplab.modem import LengthMismatchError, modulate
 
+from oracles import exhaustive_detect_preamble
+
 SF7 = LoraParams(sf=7, bw=125e3)
 
 
@@ -106,6 +108,113 @@ class TestDetectPreamble:
     def test_too_short_buffer(self):
         with pytest.raises(PreambleNotFoundError):
             detect_preamble(IqBuffer(np.ones(64, dtype=complex), SF7.bw), SF7)
+
+    def test_sf12_noisy_frame_with_random_lead_in(self):
+        params = LoraParams(sf=12, bw=125e3)
+        rng = np.random.default_rng(12)
+        lead = int(rng.integers(1, 3 * params.n))
+        spec = FrameSpec(payload=tuple(int(s) for s in rng.integers(0, params.n, 4)), rf=ReductionFactor(0.5))
+        clean = IqBuffer(np.concatenate([np.zeros(lead, dtype=complex), build_frame(spec, params).samples]), params.bw)
+        noisy = awgn(clean, ChannelConfig(snr_db=-15.0, seed=12))
+        assert detect_preamble(noisy, params) == lead
+
+
+def sync_result(detect, samples, params, preamble_len, peak_ratio=4.0):
+    try:
+        return detect(IqBuffer(samples, params.bw), params, preamble_len, peak_ratio)
+    except PreambleNotFoundError:
+        return None
+
+
+class TestScreenedSyncIsExact:
+    """detect_preamble against the full spectral search over all n alignments.
+
+    Each case asserts the same offset, or PreambleNotFoundError from both.
+    """
+
+    @staticmethod
+    def random_capture(rng, sf, snr_db=None):
+        """(params, preamble_len, preamble start, samples) of one frame after a zero lead-in of 0..3n."""
+        params = LoraParams(sf=sf, bw=125e3)
+        n = params.n
+        preamble_len = int(rng.integers(6, 12))
+        payload = tuple(int(s) for s in rng.integers(0, n, int(rng.integers(0, 10))))
+        spec = FrameSpec(payload=payload, rf=ReductionFactor(float(rng.choice(BETA_TABLE))),
+                         preamble_len=preamble_len)
+        lead = int(rng.integers(0, 3 * n + 1))
+        buf = IqBuffer(np.concatenate([np.zeros(lead, dtype=complex), build_frame(spec, params).samples]), params.bw)
+        if snr_db is not None:
+            buf = awgn(buf, ChannelConfig(snr_db=snr_db, seed=int(rng.integers(1 << 30))))
+        return params, preamble_len, lead, np.array(buf.samples)
+
+    def assert_exact(self, samples, params, preamble_len, peak_ratio=4.0):
+        fast = sync_result(detect_preamble, samples, params, preamble_len, peak_ratio)
+        assert fast == sync_result(exhaustive_detect_preamble, samples, params, preamble_len, peak_ratio)
+        return fast
+
+    @pytest.mark.parametrize("sf", [7, 8, 9])
+    def test_frames_from_below_sync_threshold_to_noiseless(self, sf):
+        rng = np.random.default_rng(100 + sf)
+        # -14 dB is below the sf 7 sync threshold; each sf step adds 3 dB of processing gain
+        shift = -3.0 * (sf - 7)
+        offsets = []
+        for snr_db in (-14.0, -11.0, -8.0, -5.0, 0.0, 10.0, None):
+            for _ in range(2):
+                params, preamble_len, _, samples = self.random_capture(
+                    rng, sf, None if snr_db is None else snr_db + shift)
+                offsets.append(self.assert_exact(samples, params, preamble_len))
+        assert None in offsets and any(o is not None for o in offsets)
+
+    @pytest.mark.parametrize("sf", [7, 8, 9])
+    def test_noise_only(self, sf):
+        rng = np.random.default_rng(200 + sf)
+        params = LoraParams(sf=sf, bw=125e3)
+        for preamble_len in (6, 8, 11):
+            size = int(rng.integers(preamble_len * params.n, 24 * params.n))
+            noise = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            self.assert_exact(noise, params, preamble_len)
+
+    @pytest.mark.parametrize("side", ["before", "after"])
+    def test_60db_burst_next_to_preamble(self, side):
+        rng = np.random.default_rng(300 if side == "before" else 301)
+        for sf in (7, 8, 9):
+            params, preamble_len, lead, samples = self.random_capture(rng, sf, snr_db=0.0)
+            n = params.n
+            width = int(rng.integers(n // 4, n + 1))
+            begin = max(0, lead - width) if side == "before" else lead + preamble_len * n
+            amplitude = 10 ** (60.0 / 20) / np.sqrt(2)
+            samples[begin: begin + width] += amplitude * (rng.standard_normal(width) + 1j * rng.standard_normal(width))
+            self.assert_exact(samples, params, preamble_len)
+
+    @pytest.mark.parametrize("sf", [7, 8])
+    def test_flat_spectra_at_the_screen_bound(self, sf):
+        # A window holding one nonzero sample has a flat spectrum, so |X_0|^2
+        # equals the window energy and rounding alone decides whether bin 0
+        # is the argmax; with peak_ratio 1 such windows are hits.
+        rng = np.random.default_rng(500 + sf)
+        params = LoraParams(sf=sf, bw=125e3)
+        n = params.n
+        offsets = []
+        for _ in range(4):
+            samples = np.zeros(16 * n, dtype=complex)
+            where = np.arange(0, len(samples), n) + rng.integers(0, n, 16)
+            samples[where] = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+            for preamble_len in (2, 3, 4):
+                offsets.append(self.assert_exact(samples, params, preamble_len, 1.0))
+        assert any(o is not None for o in offsets)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
+    def test_one_nonfinite_sample(self, bad):
+        rng = np.random.default_rng(400)
+        for sf in (7, 8):
+            params, preamble_len, lead, samples = self.random_capture(rng, sf, snr_db=5.0)
+            n = params.n
+            # lead-in, inside the preamble, just past it, and the last sample
+            for where in (lead // 2, lead + n // 2, lead + preamble_len * n + int(rng.integers(0, 2 * n)),
+                          len(samples) - 1):
+                spoiled = samples.copy()
+                spoiled[where] = bad
+                self.assert_exact(spoiled, params, preamble_len)
 
 
 class TestDecodeFrame:

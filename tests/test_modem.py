@@ -13,6 +13,7 @@ from chirplab.chirps import (
 )
 from chirplab.modem import (
     LengthMismatchError,
+    _peak_and_floor,
     bit_errors,
     dechirp,
     decide_symbols,
@@ -148,6 +149,30 @@ class TestDemodulateSymbol:
         assert res.peak_magnitude == pytest.approx(mags.max())
         assert res.noise_floor == pytest.approx(np.median(np.delete(mags, mags.argmax())))
         assert res.snr_estimate_db == pytest.approx(20 * np.log10(res.peak_magnitude / res.noise_floor))
+
+
+class TestPeakAndFloor:
+    @staticmethod
+    def masked_nanmedian(mags):
+        bins = mags.argmax(axis=1)
+        masked = mags.copy()
+        masked[np.arange(len(mags)), bins] = np.nan
+        return bins, mags.max(axis=1), np.nanmedian(masked, axis=1)
+
+    @pytest.mark.parametrize("n", [2, 4, 128, 1024])
+    def test_bit_identical_to_masked_nanmedian(self, n):
+        rng = np.random.default_rng(n)
+        spectra = [
+            np.abs(rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))),
+            # ties everywhere, at the peak too
+            rng.integers(0, 3, (200, n)).astype(float),
+            np.zeros((3, n)),
+            np.full((3, n), 7.5),
+        ]
+        for mags in spectra:
+            for got, want in zip(_peak_and_floor(mags), self.masked_nanmedian(mags)):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
 
 
 class TestDemodulate:
