@@ -68,15 +68,28 @@ class ThresholdTable:
 
     @classmethod
     def read_csv(cls, path) -> "ThresholdTable":
-        entries = {}
-        target_ser, trials, seed = DEFAULT_TARGET_SER, 0, 0
+        """Read a table written by write_csv; raises ValueError if it is malformed or inconsistent.
+
+        The table needs every column and at least one row, one target_ser,
+        trials and seed shared by all rows, and thresholds that pass validate().
+        """
         with open(path, newline="") as handle:
-            for row in csv.DictReader(handle):
-                entries[(int(row["sf"]), float(row["beta"]))] = float(row["required_snr_db"])
-                target_ser = float(row["target_ser"])
-                trials = int(row["trials"])
-                seed = int(row["seed"])
-        return cls(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
+            # restval: a short row reads as empty cells, which fail conversion
+            reader = csv.DictReader(handle, restval="")
+            missing = [name for name in TABLE_CSV_COLUMNS if name not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"threshold table {path} lacks columns {missing}")
+            rows = list(reader)
+        if not rows:
+            raise ValueError(f"threshold table {path} has no rows")
+        meta = {(float(row["target_ser"]), int(row["trials"]), int(row["seed"])) for row in rows}
+        if len(meta) > 1:
+            raise ValueError(f"threshold table {path} mixes (target_ser, trials, seed) values {sorted(meta)}")
+        target_ser, trials, seed = meta.pop()
+        entries = {(int(row["sf"]), float(row["beta"])): float(row["required_snr_db"]) for row in rows}
+        table = cls(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
+        table.validate()
+        return table
 
 
 @dataclass

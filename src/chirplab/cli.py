@@ -209,7 +209,10 @@ def cmd_select(args) -> int:
             if line and not line.startswith("#"):
                 adaptive.record_packet(history, float(line))
     margin = 0.0 if args.aggressive else args.margin_db
-    rf = adaptive.select_beta(history, table, args.sf, margin)
+    try:
+        rf = adaptive.select_beta(history, table, args.sf, margin)
+    except KeyError as exc:  # the table lacks a threshold for this sf or one of the betas
+        raise ValueError(exc.args[0]) from None
     print(f"beta={rf.beta} index={rf.index}")
     return 0
 
@@ -320,11 +323,8 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except tuple(err for err, _ in _EXIT_BY_ERROR) as exc:
-        for err, code in _EXIT_BY_ERROR:
-            if isinstance(exc, err):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise AssertionError("unreachable")
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for err, code in _EXIT_BY_ERROR if isinstance(exc, err))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,9 +26,7 @@ from .chirps import (
 from .modem import (
     NOISE_FLOOR_MIN,
     DemodResult,
-    LengthMismatchError,
     _peak_and_floor,
-    _results_from_spectra,
     _window_spectra,
     demodulate,
     modulate,
@@ -114,10 +112,9 @@ class AirtimeReport:
         return self.preamble_samples + self.header_samples + self.payload_samples
 
 
-def _downchirp_spacer(params: LoraParams) -> np.ndarray:
-    n = params.n
-    down = np.conj(_base_ramp(n))
-    return np.concatenate([down, down, down[: n // 4]])
+def _preamble_samples(preamble_len: int, n: int) -> int:
+    """Samples from the preamble start to the header: the upchirps and the 2.25-downchirp spacer."""
+    return preamble_len * n + 2 * n + n // 4
 
 
 def build_frame(spec: FrameSpec, params: LoraParams) -> IqBuffer:
@@ -125,7 +122,8 @@ def build_frame(spec: FrameSpec, params: LoraParams) -> IqBuffer:
     n = params.n
     header = spec.header_symbols(params)
     up = _base_ramp(n)
-    parts = [np.tile(up, spec.preamble_len), _downchirp_spacer(params)]
+    # the downchirp spacer is the preamble section of a frame without upchirps
+    parts = [np.tile(up, spec.preamble_len), np.resize(np.conj(up), _preamble_samples(0, n))]
     parts.append(modulate(header, params, FULL_PERIOD).samples)
     if spec.payload:
         parts.append(modulate(spec.payload, params, spec.rf).samples)
@@ -168,8 +166,10 @@ def _first_run(samples: np.ndarray, params: LoraParams, align: int, need: int, p
     n = params.n
     count = (len(samples) - align) // n
     windows = samples[align: align + count * n].reshape(count, n)
-    bins, peaks, floors = _peak_and_floor(_window_spectra(windows, params))
-    hit = (bins == 0) & (peaks / np.maximum(floors, NOISE_FLOOR_MIN) >= peak_ratio)
+    # a window holding a NaN or infinite sample gets a NaN ratio, never a hit
+    with np.errstate(invalid="ignore"):
+        bins, peaks, floors = _peak_and_floor(_window_spectra(windows, params))
+        hit = (bins == 0) & (peaks / np.maximum(floors, NOISE_FLOOR_MIN) >= peak_ratio)
     run = 0
     for i, ok in enumerate(hit):
         run = run + 1 if ok else 0
@@ -222,11 +222,8 @@ def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
                  preamble_len: int = DEFAULT_PREAMBLE_LEN) -> tuple[list[int], ReductionFactor, FrameDiagnostics]:
     """Decode header and payload of a frame whose preamble starts at offset."""
     n = params.n
-    header_start = offset + preamble_len * n + 2 * n + n // 4
-    if len(buf) < header_start + 3 * n:
-        raise LengthMismatchError("buffer truncated before the end of the header")
-    header_windows = buf.samples[header_start: header_start + 3 * n].reshape(3, n)
-    header_results = _results_from_spectra(_window_spectra(header_windows, params))
+    header_start = offset + _preamble_samples(preamble_len, n)
+    header_results = demodulate(IqBuffer(buf.samples[header_start:], params.bw), params, FULL_PERIOD, 3)
     length_sym, beta_sym, checksum_sym = (r.symbol for r in header_results)
     if (length_sym + beta_sym) % n != checksum_sym:
         raise ChecksumMismatchError(
@@ -247,7 +244,7 @@ def time_on_air(spec: FrameSpec, params: LoraParams) -> AirtimeReport:
     n = params.n
     spec.header_symbols(params)  # validates payload length
     m = spec.rf.m(params)
-    preamble_samples = spec.preamble_len * n + 2 * n + n // 4
+    preamble_samples = _preamble_samples(spec.preamble_len, n)
     header_samples = 3 * n
     payload_samples = len(spec.payload) * m
     return AirtimeReport(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .channel import add_noise
 from .chirps import LoraParams, ReductionFactor, _base_ramp
-from .modem import bit_errors, decide_symbols
+from .modem import _window_spectra, bit_errors, decide_symbols
 
 # Stream tags decouple experiments that share a master seed.
 TAG_PEAK = 0
@@ -29,35 +29,37 @@ def derive_rng(master_seed: int, tag: int, sf: int, beta: float, snr_db: float) 
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _noisy_windows(ramp: np.ndarray, symbols: np.ndarray, m: int, snr_db: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    n = len(ramp)
-    rows = ramp[(np.arange(m)[None, :] + symbols[:, None]) % n]
-    return add_noise(rows, snr_db, rng)
+def _trial_chunks(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
+                  master_seed: int, tag: int, receive):
+    """Yield (sent, receive(windows, params)) per chunk of at most _CHUNK trials.
+
+    sent holds random symbols and windows their m-sample chirps plus AWGN,
+    drawn from the evaluation's own stream (symbols, then noise, per chunk),
+    so results depend only on the seed and the fixed chunk size. Only the
+    receiver's output leaves the generator: a chunk's noisy windows are freed
+    before the next chunk is drawn.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = derive_rng(master_seed, tag, params.sf, rf.beta, snr_db)
+    ramp = _base_ramp(params.n)
+    shifts = np.arange(rf.m(params))[None, :]
+    for done in range(0, trials, _CHUNK):
+        sent = rng.integers(0, params.n, min(_CHUNK, trials - done))
+        yield sent, receive(add_noise(ramp[(shifts + sent[:, None]) % params.n], snr_db, rng), params)
 
 
 def run_error_trials(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
                      master_seed: int, tag: int = TAG_BER) -> tuple[float, float]:
     """Transmit random symbols through AWGN and return (ser, ber).
 
-    BER uses the natural-binary mapping, sf bits per symbol. Chunked
-    internally with a fixed chunk size so results depend only on the seed.
+    BER uses the natural-binary mapping, sf bits per symbol.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = derive_rng(master_seed, tag, params.sf, rf.beta, snr_db)
-    ramp = _base_ramp(params.n)
-    m = rf.m(params)
     sym_errs = 0
     biterrs = 0
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        sent = rng.integers(0, params.n, count)
-        decided = decide_symbols(_noisy_windows(ramp, sent, m, snr_db, rng), params)
+    for sent, decided in _trial_chunks(params, rf, snr_db, trials, master_seed, tag, decide_symbols):
         sym_errs += int((decided != sent).sum())
         biterrs += bit_errors(sent, decided, params.sf)
-        done += count
     return sym_errs / trials, biterrs / (trials * params.sf)
 
 
@@ -71,22 +73,10 @@ def symbol_error_rate(params: LoraParams, rf: ReductionFactor, snr_db: float, tr
 def peak_statistics(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
                     master_seed: int) -> tuple[float, np.ndarray]:
     """Mean transform-peak magnitude over trials, plus trial 0's full bin magnitudes."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = derive_rng(master_seed, TAG_PEAK, params.sf, rf.beta, snr_db)
-    ramp = _base_ramp(params.n)
-    m = rf.m(params)
-    down = np.conj(ramp[:m])
     peak_sum = 0.0
     first_bins = None
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        sent = rng.integers(0, params.n, count)
-        windows = _noisy_windows(ramp, sent, m, snr_db, rng)
-        mags = np.abs(np.fft.fft(windows * down[None, :], n=params.n, axis=1))
+    for _, mags in _trial_chunks(params, rf, snr_db, trials, master_seed, TAG_PEAK, _window_spectra):
         if first_bins is None:
             first_bins = mags[0].copy()
         peak_sum += float(mags.max(axis=1).sum())
-        done += count
     return peak_sum / trials, first_bins

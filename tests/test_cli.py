@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chirplab import cli, iqfile
+from chirplab.adaptive import TABLE_CSV_COLUMNS
 from chirplab.chirps import IqBuffer, LoraParams, ReductionFactor, base_upchirp, shifted_upchirp
 from chirplab.framing import FrameSpec, build_frame
 
@@ -259,45 +260,68 @@ class TestCalibrateSelect:
         assert code == cli.EXIT_CALIBRATION
         assert "unreachable" in err
 
-    def test_select_from_history_file(self, tmp_path, capsys):
+    GOOD = [(7, beta, req, 0.001, 100000, 0)
+            for beta, req in ((1.0, -7.5), (0.875, -7.0), (0.75, -6.0), (0.625, -5.0), (0.5, -4.5))]
+
+    @staticmethod
+    def select(tmp_path, capsys, history_text, table_rows, *flags, header=TABLE_CSV_COLUMNS):
         table = tmp_path / "table.csv"
         with open(table, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(("sf", "beta", "required_snr_db", "target_ser", "trials", "seed"))
-            for beta, req in ((1.0, -7.5), (0.875, -7.0), (0.75, -6.0), (0.625, -5.0), (0.5, -4.5)):
-                writer.writerow((7, beta, req, 0.001, 100000, 0))
+            if header:
+                writer.writerow(header)
+            writer.writerows(table_rows)
         history = tmp_path / "history.txt"
-        history.write_text("-1.0\n-2.0\n-1.5\n")
-        code, out, _ = run(capsys, "select", "--table", table, "--in", history, "--sf", 7)
+        history.write_text(history_text)
+        return run(capsys, "select", "--table", table, "--in", history, "--sf", 7, *flags)
+
+    def test_select_from_history_file(self, tmp_path, capsys):
+        code, out, _ = self.select(tmp_path, capsys, "-1.0\n-2.0\n-1.5\n", self.GOOD)
         assert code == 0
         assert out.strip() == "beta=0.5 index=4"
 
     def test_select_poor_link_returns_beta_one(self, tmp_path, capsys):
-        table = tmp_path / "table.csv"
-        with open(table, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("sf", "beta", "required_snr_db", "target_ser", "trials", "seed"))
-            for beta, req in ((1.0, -7.5), (0.875, -7.0), (0.75, -6.0), (0.625, -5.0), (0.5, -4.5)):
-                writer.writerow((7, beta, req, 0.001, 100000, 0))
-        history = tmp_path / "history.txt"
-        history.write_text("-30.0\n-30.0\n")
-        code, out, _ = run(capsys, "select", "--table", table, "--in", history, "--sf", 7)
+        code, out, _ = self.select(tmp_path, capsys, "-30.0\n-30.0\n", self.GOOD)
         assert code == 0
         assert out.strip() == "beta=1.0 index=0"
 
     def test_aggressive_flag_zeroes_margin(self, tmp_path, capsys):
-        table = tmp_path / "table.csv"
-        with open(table, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(("sf", "beta", "required_snr_db", "target_ser", "trials", "seed"))
-            for beta, req in ((1.0, -7.5), (0.875, -7.0), (0.75, -6.0), (0.625, -5.0), (0.5, -4.5)):
-                writer.writerow((7, beta, req, 0.001, 100000, 0))
-        history = tmp_path / "history.txt"
-        history.write_text("-4.2\n")
-        _, out, _ = run(capsys, "select", "--table", table, "--in", history, "--sf", 7)
+        _, out, _ = self.select(tmp_path, capsys, "-4.2\n", self.GOOD)
         assert out.strip() == "beta=0.875 index=1"
-        _, out, _ = run(capsys, "select", "--table", table, "--in", history, "--sf", 7, "--aggressive")
+        _, out, _ = self.select(tmp_path, capsys, "-4.2\n", self.GOOD, "--aggressive")
         assert out.strip() == "beta=0.5 index=4"
+
+    def select_error(self, tmp_path, capsys, table_rows, **kwargs):
+        code, out, err = self.select(tmp_path, capsys, "-1.0\n", table_rows, **kwargs)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+        return err
+
+    def test_select_table_without_the_sf(self, tmp_path, capsys):
+        err = self.select_error(tmp_path, capsys, [(8, *row[1:]) for row in self.GOOD])
+        assert "sf=7" in err
+
+    @pytest.mark.parametrize("header", [None, TABLE_CSV_COLUMNS])
+    def test_select_empty_table(self, tmp_path, capsys, header):
+        err = self.select_error(tmp_path, capsys, [], header=header)
+        assert ("lacks columns" if header is None else "no rows") in err
+
+    def test_select_table_missing_a_column(self, tmp_path, capsys):
+        err = self.select_error(tmp_path, capsys, [row[:5] for row in self.GOOD],
+                                header=TABLE_CSV_COLUMNS[:5])
+        assert "lacks columns ['seed']" in err
+
+    @pytest.mark.parametrize("column, value", [(3, 0.01), (4, 20000), (5, 1)])
+    def test_select_table_with_mixed_metadata(self, tmp_path, capsys, column, value):
+        rows = [list(row) for row in self.GOOD]
+        rows[2][column] = value
+        assert "mixes" in self.select_error(tmp_path, capsys, rows)
+
+    def test_select_table_with_beta_inversion(self, tmp_path, capsys):
+        # beta 0.625 needing less SNR than beta 0.75 breaks the monotone order selection relies on
+        rows = [list(row) for row in self.GOOD]
+        rows[3][2] = -6.5
+        assert "non-increasing in beta" in self.select_error(tmp_path, capsys, rows)
 
 
 class TestUnknownFlag:

@@ -14,6 +14,7 @@ from chirplab.chirps import (
 from chirplab.modem import (
     LengthMismatchError,
     _peak_and_floor,
+    _window_spectra,
     bit_errors,
     dechirp,
     decide_symbols,
@@ -108,6 +109,23 @@ class TestSpectrumMagnitude:
             got = spectrum_magnitude(IqBuffer(x, params.bw), params)
             want = np.abs(naive_dft(x, n))
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("sf", [7, 10, 12])
+    @pytest.mark.parametrize("beta", BETA_TABLE)
+    def test_rows_equal_single_window_pair(self, sf, beta):
+        # the batch kernel behind demod, sync, header decode and the trial
+        # engine, tied bit for bit to the pair the DFT oracle checks
+        params = LoraParams(sf=sf, bw=125e3)
+        rf = ReductionFactor(beta)
+        rng = np.random.default_rng(sf)
+        symbols = rng.integers(0, params.n, 4)
+        windows = add_noise(modulate(symbols, params, rf).samples.reshape(4, -1), 0.0, rng)
+        batch = _window_spectra(windows, params)
+        for row, mags in zip(windows, batch):
+            single = spectrum_magnitude(dechirp(IqBuffer(row, params.bw), params), params)
+            np.testing.assert_array_equal(mags, single)
 
 
 class TestDemodulateSymbol:
