@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .chirps import BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import TAG_CALIBRATION, symbol_error_rate
+from .montecarlo import snr_grid, symbol_error_rate
 
 DEFAULT_TARGET_SER = 1e-3
 DEFAULT_SAFETY_MARGIN_DB = 2.0
@@ -71,7 +71,8 @@ class ThresholdTable:
         """Read a table written by write_csv; raises ValueError if it is malformed or inconsistent.
 
         The table needs every column and at least one row, one target_ser,
-        trials and seed shared by all rows, and thresholds that pass validate().
+        trials and seed shared by all rows, at most one row per (sf, beta),
+        and thresholds that pass validate().
         """
         with open(path, newline="") as handle:
             # restval: a short row reads as empty cells, which fail conversion
@@ -86,7 +87,12 @@ class ThresholdTable:
         if len(meta) > 1:
             raise ValueError(f"threshold table {path} mixes (target_ser, trials, seed) values {sorted(meta)}")
         target_ser, trials, seed = meta.pop()
-        entries = {(int(row["sf"]), float(row["beta"])): float(row["required_snr_db"]) for row in rows}
+        entries = {}
+        for row in rows:
+            key = (int(row["sf"]), float(row["beta"]))
+            if key in entries:
+                raise ValueError(f"threshold table {path} lists sf={key[0]}, beta={key[1]} twice")
+            entries[key] = float(row["required_snr_db"])
         table = cls(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
         table.validate()
         return table
@@ -115,57 +121,60 @@ def record_packet(history: LinkHistory, snr_db: float) -> LinkHistory:
 
 
 def _required_snr(params: LoraParams, rf: ReductionFactor, target_ser: float, trials: int,
-                  seed: int, lo_db: float, hi_db: float, step_db: float) -> float:
-    """Smallest grid SNR with SER <= target, by bisection on the 0.5 dB grid."""
-    def ser_at(idx: int) -> float:
-        return symbol_error_rate(params, rf, lo_db + idx * step_db, trials, seed, tag=TAG_CALIBRATION)
+                  seed: int) -> float:
+    """Smallest SNR of the search grid with SER <= target, by bisection over its indices."""
+    grid = snr_grid(SNR_SEARCH_MIN_DB, SNR_SEARCH_MAX_DB, SNR_SEARCH_STEP_DB)
 
-    last = round((hi_db - lo_db) / step_db)
+    def ser_at(idx: int) -> float:
+        return symbol_error_rate(params, rf, grid[idx], trials, seed)
+
     if ser_at(0) <= target_ser:
-        return lo_db
-    if ser_at(last) > target_ser:
+        return grid[0]
+    if ser_at(len(grid) - 1) > target_ser:
         raise CalibrationError(
-            f"SER above {target_ser} across the whole [{lo_db}, {hi_db}] dB range "
+            f"SER above {target_ser} across the whole [{SNR_SEARCH_MIN_DB}, {SNR_SEARCH_MAX_DB}] dB range "
             f"for sf={params.sf}, beta={rf.beta}"
         )
-    lo, hi = 0, last  # ser(lo) > target >= ser(hi)
+    lo, hi = 0, len(grid) - 1  # ser(lo) > target >= ser(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ser_at(mid) <= target_ser:
             hi = mid
         else:
             lo = mid
-    return lo_db + hi * step_db
+    return grid[hi]
 
 
 def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAULT_TARGET_SER,
-                         trials: int = 100_000, seed: int = 0,
-                         snr_min_db: float = SNR_SEARCH_MIN_DB,
-                         snr_max_db: float = SNR_SEARCH_MAX_DB,
-                         snr_step_db: float = SNR_SEARCH_STEP_DB) -> ThresholdTable:
-    """Monte-Carlo calibration of required SNR per (sf, beta); deterministic given seed."""
+                         trials: int = 100_000, seed: int = 0) -> ThresholdTable:
+    """Monte-Carlo calibration of required SNR per (sf, beta); deterministic given seed.
+
+    Each threshold is the smallest point of the fixed search grid (SNR_SEARCH_*)
+    at which the SER is at most target_ser, which must lie in (0, 1).
+    """
+    if not 0 < target_ser < 1:
+        raise ValueError(f"target SER must lie in (0, 1), got {target_ser}")
     if trials < 10 / target_ser:
         raise ValueError(f"need at least {10 / target_ser:.0f} trials to resolve SER {target_ser}")
     entries = {}
     for params in params_set:
         for beta in betas:
             rf = ReductionFactor(beta)
-            entries[(params.sf, beta)] = _required_snr(
-                params, rf, target_ser, trials, seed, snr_min_db, snr_max_db, snr_step_db
-            )
+            entries[(params.sf, beta)] = _required_snr(params, rf, target_ser, trials, seed)
     return ThresholdTable(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
 
 
 def select_beta(history: LinkHistory, table: ThresholdTable, sf: int,
                 safety_margin_db: float = DEFAULT_SAFETY_MARGIN_DB) -> ReductionFactor:
-    """Smallest beta whose calibrated threshold is cleared by min(history) - margin.
+    """Smallest calibrated beta whose threshold is cleared by min(history) - margin.
 
-    Falls back to beta = 1 when even its own threshold is unmet; links
-    without surplus SNR never truncate.
+    Ranges over the betas the table holds for sf, of which beta = 1 must be
+    one (KeyError otherwise). Falls back to beta = 1 when even its own
+    threshold is unmet; links without surplus SNR never truncate.
     """
-    required = {beta: table.required_snr_db(sf, beta) for beta in BETA_TABLE}
+    table.required_snr_db(sf, 1.0)
     surplus = history.min_snr_db() - safety_margin_db
-    for beta in sorted(BETA_TABLE):
-        if required[beta] <= surplus:
+    for beta in sorted(b for s, b in table.entries if s == sf):
+        if table.entries[(sf, beta)] <= surplus:
             return ReductionFactor(beta)
     return ReductionFactor(1.0)

@@ -55,12 +55,8 @@ def _parse_payload(text: str, n: int) -> list[int]:
     return symbols
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(",") if tok)
-
-
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split(",") if tok)
+def _parse_list(text: str, kind) -> tuple:
+    return tuple(kind(tok) for tok in text.split(",") if tok)
 
 
 def _write_freq_csv(path, buf: IqBuffer):
@@ -130,7 +126,9 @@ def cmd_demod(args) -> int:
 def cmd_toa(args) -> int:
     params = _params(args)
     rf = ReductionFactor(args.beta)
-    spec = framing.FrameSpec(payload=tuple(0 for _ in range(args.ns)), rf=rf, preamble_len=args.preamble_len)
+    if args.ns < 0:
+        raise ValueError(f"--ns must be >= 0, got {args.ns}")
+    spec = framing.FrameSpec(payload=(0,) * args.ns, rf=rf, preamble_len=args.preamble_len)
     report = framing.time_on_air(spec, params)
     for key in ("preamble_s", "header_s", "payload_s", "total_s", "saving_s", "effective_symbol_rate"):
         print(f"{key}={getattr(report, key)!r}")
@@ -168,8 +166,8 @@ def _experiment_config(args) -> ExperimentConfig:
     if args.snr is not None:
         start = stop = args.snr
     return ExperimentConfig(
-        sf_list=_parse_int_list(args.sf_list),
-        beta_list=_parse_float_list(args.betas),
+        sf_list=_parse_list(args.sf_list, int),
+        beta_list=_parse_list(args.betas, float),
         snr_start_db=start, snr_stop_db=stop, snr_step_db=args.snr_step,
         trials=args.trials, seed=args.seed, bw=args.bw,
         out_csv=args.out, bins_csv=getattr(args, "bins_out", "") or "",
@@ -187,10 +185,10 @@ def cmd_ber_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    params_set = [LoraParams(sf=sf, bw=args.bw) for sf in _parse_int_list(args.sf_list)]
+    params_set = [LoraParams(sf=sf, bw=args.bw) for sf in _parse_list(args.sf_list, int)]
     table = adaptive.calibrate_thresholds(
         params_set,
-        betas=_parse_float_list(args.betas),
+        betas=_parse_list(args.betas, float),
         target_ser=args.target_ser,
         trials=args.trials,
         seed=args.seed,
@@ -211,7 +209,7 @@ def cmd_select(args) -> int:
     margin = 0.0 if args.aggressive else args.margin_db
     try:
         rf = adaptive.select_beta(history, table, args.sf, margin)
-    except KeyError as exc:  # the table lacks a threshold for this sf or one of the betas
+    except KeyError as exc:  # the table lacks a threshold for this sf at beta = 1
         raise ValueError(exc.args[0]) from None
     print(f"beta={rf.beta} index={rf.index}")
     return 0
@@ -222,17 +220,22 @@ def _add_params_flags(sub, bw_default=125_000.0):
     sub.add_argument("--bw", type=float, default=bw_default, help="bandwidth in Hz")
 
 
-def _add_sweep_flags(sub):
+def _add_grid_flags(sub, trials: int):
+    """The (sf, beta) grid, trial count, seed and output CSV of the sweeps and calibrate."""
     sub.add_argument("--sf", dest="sf_list", default="7", help="comma-separated spreading factors")
     sub.add_argument("--bw", type=float, default=125_000.0)
     sub.add_argument("--betas", default=",".join(str(b) for b in BETA_TABLE), help="comma-separated betas")
+    sub.add_argument("--trials", type=int, default=trials)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out", required=True, help="output CSV path")
+
+
+def _add_sweep_flags(sub):
+    _add_grid_flags(sub, trials=1000)
     sub.add_argument("--snr", type=float, default=None, help="single SNR point (overrides start/stop)")
     sub.add_argument("--snr-start", type=float, default=0.0)
     sub.add_argument("--snr-stop", type=float, default=0.0)
     sub.add_argument("--snr-step", type=float, default=0.5)
-    sub.add_argument("--trials", type=int, default=1000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", required=True, help="output CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,13 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_ber_sweep)
 
     sub = commands.add_parser("calibrate", help="calibrate required-SNR thresholds per (sf, beta)")
-    sub.add_argument("--sf", dest="sf_list", default="7")
-    sub.add_argument("--bw", type=float, default=125_000.0)
-    sub.add_argument("--betas", default=",".join(str(b) for b in BETA_TABLE))
+    _add_grid_flags(sub, trials=100_000)
     sub.add_argument("--target-ser", type=float, default=adaptive.DEFAULT_TARGET_SER)
-    sub.add_argument("--trials", type=int, default=100_000)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--out", required=True)
     sub.set_defaults(handler=cmd_calibrate)
 
     sub = commands.add_parser("select", help="choose beta from a link-SNR history file")

@@ -10,7 +10,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .chirps import BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import TAG_BER, peak_statistics, run_error_trials
+from .montecarlo import peak_statistics, run_error_trials, snr_grid
 
 PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed")
 PEAK_BINS_CSV_COLUMNS = ("sf", "beta", "snr_db", "bin", "magnitude")
@@ -37,23 +37,13 @@ class ExperimentConfig:
         self.beta_list = tuple(float(b) for b in self.beta_list)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.snr_step_db <= 0:
-            raise ValueError("snr step must be positive")
-        if self.snr_stop_db < self.snr_start_db:
-            raise ValueError("snr stop must be >= snr start")
+        self.snr_values()  # raises ValueError on a bad SNR range
         for beta in self.beta_list:
             if beta not in BETA_TABLE:
                 raise ValueError(f"beta {beta} not in allowed set {BETA_TABLE}")
 
     def snr_values(self) -> list[float]:
-        values = []
-        k = 0
-        while True:
-            snr = self.snr_start_db + k * self.snr_step_db
-            if snr > self.snr_stop_db + 1e-9:
-                return values
-            values.append(snr)
-            k += 1
+        return snr_grid(self.snr_start_db, self.snr_stop_db, self.snr_step_db)
 
 
 def _write_rows(path, columns, rows):
@@ -106,7 +96,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
         for beta in cfg.beta_list:
             rf = ReductionFactor(beta)
             for snr_db in cfg.snr_values():
-                ser, ber = run_error_trials(params, rf, snr_db, cfg.trials, cfg.seed, tag=TAG_BER)
+                ser, ber = run_error_trials(params, rf, snr_db, cfg.trials, cfg.seed)
                 rows.append({
                     "sf": sf, "beta": beta, "snr_db": snr_db, "trials": cfg.trials,
                     "symbol_errors": round(ser * cfg.trials),

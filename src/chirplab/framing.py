@@ -59,6 +59,11 @@ class UnknownBetaIndexError(Exception):
     """Header beta-index symbol is outside the defined code table."""
 
 
+def _check_preamble_len(preamble_len: int):
+    if preamble_len < 1:
+        raise ValueError(f"preamble_len must be >= 1, got {preamble_len}")
+
+
 @dataclass(frozen=True)
 class FrameSpec:
     """Payload symbols plus the framing parameters that wrap them."""
@@ -69,8 +74,7 @@ class FrameSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "payload", tuple(int(s) for s in self.payload))
-        if self.preamble_len < 1:
-            raise ValueError("preamble_len must be >= 1")
+        _check_preamble_len(self.preamble_len)
 
     def header_symbols(self, params: LoraParams) -> tuple[int, int, int]:
         """(length, beta index, checksum) for this spec; all in [0, n)."""
@@ -195,6 +199,7 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     hit passes the screen, the result equals that of checking all n
     alignments.
     """
+    _check_preamble_len(preamble_len)
     n = params.n
     need = max(1, preamble_len - 1)
     if len(buf) < need * n:
@@ -221,6 +226,7 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
 def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
                  preamble_len: int = DEFAULT_PREAMBLE_LEN) -> tuple[list[int], ReductionFactor, FrameDiagnostics]:
     """Decode header and payload of a frame whose preamble starts at offset."""
+    _check_preamble_len(preamble_len)
     n = params.n
     header_start = offset + _preamble_samples(preamble_len, n)
     header_results = demodulate(IqBuffer(buf.samples[header_start:], params.bw), params, FULL_PERIOD, 3)

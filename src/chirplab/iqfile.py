@@ -37,6 +37,7 @@ def write_iq(path, buf: IqBuffer, meta: dict):
 
 
 def read_sidecar(path) -> dict:
+    """Sidecar key=value pairs; a format or beta_table other than this version's is rejected."""
     meta_path = sidecar_path(path)
     if not os.path.exists(meta_path):
         raise IqFormatError(f"missing sidecar {meta_path}")
@@ -50,6 +51,9 @@ def read_sidecar(path) -> dict:
                 raise IqFormatError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             meta[key.strip()] = value.strip()
+    for key, supported in (("format", FORMAT_VERSION), ("beta_table", BETA_TABLE_VERSION)):
+        if meta.get(key, supported) != supported:
+            raise IqFormatError(f"{meta_path}: {key}={meta[key]} is not the supported {supported}")
     return meta
 
 

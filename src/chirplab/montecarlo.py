@@ -8,6 +8,8 @@ change results and any single CSV row is reproducible on its own.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channel import add_noise
@@ -21,6 +23,21 @@ TAG_CALIBRATION = 2
 
 SNR_OFFSET = 1 << 24  # keeps the snr entropy word non-negative
 _CHUNK = 8192
+
+
+def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
+    """The SNR points start + k * step, k = 0, 1, ..., up to stop with 1e-9 dB of slack.
+
+    Sweeps and calibration share this grid. Raises ValueError unless all
+    three values are finite, step > 0 and stop >= start.
+    """
+    if not (all(map(math.isfinite, (start_db, stop_db, step_db))) and step_db > 0 and stop_db >= start_db):
+        raise ValueError(f"an SNR grid needs finite values with step > 0 and stop >= start, "
+                         f"got start {start_db}, stop {stop_db}, step {step_db}")
+    points = []
+    while (snr_db := start_db + len(points) * step_db) <= stop_db + 1e-9:
+        points.append(snr_db)
+    return points
 
 
 def derive_rng(master_seed: int, tag: int, sf: int, beta: float, snr_db: float) -> np.random.Generator:
@@ -64,9 +81,9 @@ def run_error_trials(params: LoraParams, rf: ReductionFactor, snr_db: float, tri
 
 
 def symbol_error_rate(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
-                      master_seed: int, tag: int = TAG_CALIBRATION) -> float:
-    """Symbol error rate over `trials` random symbols; deterministic given the seed."""
-    ser, _ = run_error_trials(params, rf, snr_db, trials, master_seed, tag)
+                      master_seed: int) -> float:
+    """Symbol error rate over `trials` random symbols on the calibration stream; deterministic given the seed."""
+    ser, _ = run_error_trials(params, rf, snr_db, trials, master_seed, TAG_CALIBRATION)
     return ser
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chirplab import adaptive
 from chirplab.adaptive import (
     CalibrationError,
     LinkHistory,
@@ -87,8 +88,13 @@ class TestSelectBeta:
         assert select_beta(history, table, 7, safety_margin_db=2.0).beta == 0.875
         assert select_beta(history, table, 7, safety_margin_db=0.0).beta == 0.5
 
-    def test_missing_entry_raises(self):
+    def test_selects_among_calibrated_betas(self):
         table = table_from({1.0: -7.5, 0.5: -4.5})
+        history = record_packet(LinkHistory(), 0.0)
+        assert select_beta(history, table, 7).beta == 0.5
+
+    def test_table_without_full_period_raises(self):
+        table = table_from({0.875: -7.0, 0.5: -4.5})
         history = record_packet(LinkHistory(), 0.0)
         with pytest.raises(KeyError):
             select_beta(history, table, 7)
@@ -169,9 +175,7 @@ class TestCalibration:
         table.validate()
         assert table.entries[(9, 1.0)] < table.entries[(7, 1.0)]
 
-    def test_unreachable_target_raises(self):
+    def test_unreachable_target_raises(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "SNR_SEARCH_MAX_DB", -25.0)
         with pytest.raises(CalibrationError):
-            calibrate_thresholds(
-                [SF7], betas=(0.5,), target_ser=1e-2, trials=2000, seed=9,
-                snr_min_db=-30.0, snr_max_db=-25.0,
-            )
+            calibrate_thresholds([SF7], betas=(0.5,), target_ser=1e-2, trials=2000, seed=9)

@@ -17,6 +17,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_table(path, rows, header=TABLE_CSV_COLUMNS):
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        if header:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
 class TestIqFile:
     def test_write_read_identity(self, tmp_path):
         path = tmp_path / "capture.cf32"
@@ -266,11 +274,7 @@ class TestCalibrateSelect:
     @staticmethod
     def select(tmp_path, capsys, history_text, table_rows, *flags, header=TABLE_CSV_COLUMNS):
         table = tmp_path / "table.csv"
-        with open(table, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            if header:
-                writer.writerow(header)
-            writer.writerows(table_rows)
+        write_table(table, table_rows, header)
         history = tmp_path / "history.txt"
         history.write_text(history_text)
         return run(capsys, "select", "--table", table, "--in", history, "--sf", 7, *flags)
@@ -317,11 +321,93 @@ class TestCalibrateSelect:
         rows[2][column] = value
         assert "mixes" in self.select_error(tmp_path, capsys, rows)
 
+    def test_select_over_calibrated_betas(self, tmp_path, capsys):
+        # a table from `calibrate --betas 1.0,0.5`: 0.5 is the only truncation on offer
+        code, out, _ = self.select(tmp_path, capsys, "-1.0\n", [self.GOOD[0], self.GOOD[4]])
+        assert code == 0
+        assert out.strip() == "beta=0.5 index=4"
+
     def test_select_table_with_beta_inversion(self, tmp_path, capsys):
         # beta 0.625 needing less SNR than beta 0.75 breaks the monotone order selection relies on
         rows = [list(row) for row in self.GOOD]
         rows[3][2] = -6.5
         assert "non-increasing in beta" in self.select_error(tmp_path, capsys, rows)
+
+
+@pytest.fixture(scope="module")
+def malformed_inputs(tmp_path_factory):
+    """A directory of captures, tables and histories, most of them broken in one way."""
+    root = tmp_path_factory.mktemp("malformed")
+    frame = build_frame(FrameSpec(payload=(1, 2, 3), rf=ReductionFactor(0.5)), SF7)
+    iqfile.write_iq(root / "frame.cf32", frame, {"sf": 7, "bw": 125000.0, "preamble_len": 8})
+    for name, key, value in (("v9", "beta_table", "v9"), ("cf64", "format", "cf64.v7")):
+        iqfile.write_iq(root / f"{name}.cf32", frame, {"sf": 7, "bw": 125000.0, key: value})
+    iqfile.write_iq(root / "ragged.cf32", IqBuffer(base_upchirp(SF7).samples[:100], SF7.bw),
+                    {"sf": 7, "bw": 125000.0, "beta": 1.0})
+    good = TestCalibrateSelect.GOOD
+    write_table(root / "good.csv", good)
+    write_table(root / "dup.csv", good + [good[0]])
+    write_table(root / "no_beta1.csv", good[1:])
+    (root / "history.txt").write_text("-1.0\n")
+    (root / "bad_history.txt").write_text("-1.0\nloud\n")
+    return root
+
+
+# (argv, documented exit code); {d} is the malformed_inputs directory
+MALFORMED_ARGV = [
+    ("chirp --sf 6 --out {d}/x.cf32", 1),
+    ("chirp --sf 7 --beta 0.9 --out {d}/x.cf32", 1),
+    ("chirp --sf 7 --symbol 128 --out {d}/x.cf32", 1),
+    ("mod --sf 7 --payload 200 --out {d}/x.cf32", 1),
+    ("mod --sf 7 --payload 0xzz --out {d}/x.cf32", 1),
+    ("mod --sf seven --payload 1 --out {d}/x.cf32", 2),
+    ("demod --in {d}/absent.cf32", 3),
+    ("demod --in {d}/cf64.cf32 --beta 1.0", 3),
+    ("demod --in {d}/ragged.cf32", 4),
+    ("toa --sf 7 --ns -5", 1),
+    ("toa --sf 7 --ns 1 --preamble-len 0", 1),
+    ("toa --sf 7 --ns 200", 1),
+    ("toa --sf 7", 2),
+    ("frame-encode --sf 7 --payload 1 --preamble-len 0 --out {d}/x.cf32", 1),
+    ("frame-decode --in {d}/frame.cf32 --preamble-len -3", 1),
+    ("frame-decode --in {d}/frame.cf32 --preamble-len -8", 1),
+    ("frame-decode --in {d}/v9.cf32", 3),
+    ("frame-decode --in {d}/cf64.cf32", 3),
+    ("frame-decode --in {d}/frame.cf32 --sf 6", 1),
+    ("peak-experiment --snr-start nan --out {d}/x.csv", 1),
+    ("peak-experiment --snr-step 0 --out {d}/x.csv", 1),
+    ("peak-experiment --betas 0.9 --out {d}/x.csv", 1),
+    ("ber-sweep --snr-stop inf --out {d}/x.csv", 1),
+    ("ber-sweep --snr-step nan --out {d}/x.csv", 1),
+    ("ber-sweep --snr-start 1 --snr-stop 0 --out {d}/x.csv", 1),
+    ("ber-sweep --trials 0 --out {d}/x.csv", 1),
+    ("ber-sweep --sf 7,x --out {d}/x.csv", 1),
+    ("ber-sweep --out {d}/absent/x.csv --snr 300", 1),
+    ("calibrate --target-ser 0 --out {d}/x.csv", 1),
+    ("calibrate --target-ser -0.5 --out {d}/x.csv", 1),
+    ("calibrate --target-ser 1.5 --out {d}/x.csv", 1),
+    ("calibrate --target-ser nan --out {d}/x.csv", 1),
+    ("calibrate --trials 10 --out {d}/x.csv", 1),
+    ("calibrate --betas 0.9 --out {d}/x.csv", 1),
+    ("calibrate --out", 2),
+    ("select --table {d}/dup.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/no_beta1.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/absent.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/good.csv --in {d}/bad_history.txt --sf 7", 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", MALFORMED_ARGV, ids=[argv.replace("{d}/", "") for argv, _ in MALFORMED_ARGV])
+def test_malformed_input_exits_with_documented_code(malformed_inputs, capsys, argv, code):
+    """main() is what the entry point runs: an exception escaping it would print a traceback."""
+    try:
+        got = cli.main(argv.format(d=malformed_inputs).split())
+    except SystemExit as exc:  # argparse
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert any(line.startswith("error:") or ": error:" in line for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 class TestUnknownFlag:

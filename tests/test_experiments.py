@@ -23,12 +23,17 @@ class TestExperimentConfig:
     def test_snr_grid(self):
         cfg = peak_cfg(snr_start_db=-10.0, snr_stop_db=-8.0, snr_step_db=0.5)
         assert cfg.snr_values() == [-10.0, -9.5, -9.0, -8.5, -8.0]
+        # 0.1 * 3 rounds past 0.3; the 1e-9 dB slack keeps that point
+        assert peak_cfg(snr_start_db=0.0, snr_stop_db=0.3, snr_step_db=0.1).snr_values() == [0.0, 0.1, 0.2, 0.1 * 3]
 
     @pytest.mark.parametrize("kwargs", [
         dict(trials=0),
         dict(snr_step_db=0.0),
         dict(snr_start_db=0.0, snr_stop_db=-1.0),
         dict(beta_list=(0.9,)),
+        dict(snr_stop_db=float("inf")),
+        dict(snr_start_db=float("nan")),
+        dict(snr_step_db=float("nan")),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

@@ -285,6 +285,14 @@ class TestDecodeFrame:
         with pytest.raises(UnknownBetaIndexError):
             decode_frame(buf, 0, SF7)
 
+    @pytest.mark.parametrize("preamble_len", [0, -3, -8])
+    def test_rejects_preamble_len_below_one(self, preamble_len):
+        _, buf = make_frame([1, 2, 3], 1.0)
+        with pytest.raises(ValueError):
+            detect_preamble(buf, SF7, preamble_len)
+        with pytest.raises(ValueError):
+            decode_frame(buf, 0, SF7, preamble_len)
+
     def test_truncated_buffer(self):
         _, buf = make_frame([1, 2, 3, 4], 1.0)
         clipped = IqBuffer(buf.samples[:-200], SF7.bw)
