@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .chirps import BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import snr_grid, symbol_error_rate
+from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate
 
 DEFAULT_TARGET_SER = 1e-3
 DEFAULT_SAFETY_MARGIN_DB = 2.0
@@ -22,7 +22,7 @@ SNR_SEARCH_MIN_DB = -30.0
 SNR_SEARCH_MAX_DB = 5.0
 SNR_SEARCH_STEP_DB = 0.5
 
-TABLE_CSV_COLUMNS = ("sf", "beta", "required_snr_db", "target_ser", "trials", "seed")
+TABLE_CSV_COLUMNS = ("sf", "beta", "required_snr_db", "target_ser", "trials", "seed", "stream")
 
 
 class CalibrationError(Exception):
@@ -64,20 +64,21 @@ class ThresholdTable:
             writer = csv.writer(handle)
             writer.writerow(TABLE_CSV_COLUMNS)
             for (sf, beta), req in sorted(self.entries.items()):
-                writer.writerow([sf, beta, req, self.target_ser, self.trials, self.seed])
+                writer.writerow([sf, beta, req, self.target_ser, self.trials, self.seed, STREAM_VERSION])
 
     @classmethod
     def read_csv(cls, path) -> "ThresholdTable":
         """Read a table written by write_csv; raises ValueError if it is malformed or inconsistent.
 
-        The table needs every column and at least one row, one target_ser,
-        trials and seed shared by all rows, at most one row per (sf, beta),
-        and thresholds that pass validate().
+        The table needs every column but the stream version (which is
+        written, not read back) and at least one row, one target_ser, trials
+        and seed shared by all rows, at most one row per (sf, beta), and
+        thresholds that pass validate().
         """
         with open(path, newline="") as handle:
             # restval: a short row reads as empty cells, which fail conversion
             reader = csv.DictReader(handle, restval="")
-            missing = [name for name in TABLE_CSV_COLUMNS if name not in (reader.fieldnames or ())]
+            missing = [name for name in TABLE_CSV_COLUMNS[:-1] if name not in (reader.fieldnames or ())]
             if missing:
                 raise ValueError(f"threshold table {path} lacks columns {missing}")
             rows = list(reader)

@@ -4,11 +4,11 @@ SNR convention: per complex sample over the full bandwidth. Generated chirps
 have unit power, so noise variance is sigma^2 = 10**(-snr_db/10) per sample
 (sigma^2/2 in each of I and Q). Noise streams come from NumPy's Philox
 counter-based generator keyed by the config seed, so the same seed always
-reproduces the same waveform; parallel trials must derive distinct seeds
-(see montecarlo.derive_rng).
+reproduces the same waveform.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +19,17 @@ from .modem import DemodResult
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Per-sample SNR in dB plus the seed that fully determines the noise."""
+    """Per-sample SNR in dB plus the seed that fully determines the noise.
+
+    snr_db = inf means noiseless; NaN raises ValueError.
+    """
 
     snr_db: float
     seed: int
+
+    def __post_init__(self):
+        if math.isnan(self.snr_db):
+            raise ValueError("channel SNR must be a number, got NaN")
 
 
 def add_noise(samples: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:

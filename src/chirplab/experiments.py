@@ -1,8 +1,9 @@
 """Monte-Carlo experiment sweeps with CSV output.
 
-Every row carries the master seed and trial count; together with the row's
-own (sf, beta, snr_db) they reproduce the row exactly, because each row's
-random stream is derived from those values alone (see montecarlo).
+Every row carries the master seed, the trial count and the stream version;
+together with the row's own (sf, beta, snr_db) they reproduce the row
+exactly, because each row's random stream is derived from those values alone
+(see montecarlo).
 """
 from __future__ import annotations
 
@@ -10,11 +11,11 @@ import csv
 from dataclasses import dataclass, field
 
 from .chirps import BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import peak_statistics, run_error_trials, snr_grid
+from .montecarlo import STREAM_VERSION, peak_statistics, run_error_trials, snr_grid
 
-PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed")
+PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed", "stream")
 PEAK_BINS_CSV_COLUMNS = ("sf", "beta", "snr_db", "bin", "magnitude")
-BER_CSV_COLUMNS = ("sf", "beta", "snr_db", "trials", "symbol_errors", "ser", "ber", "seed")
+BER_CSV_COLUMNS = ("sf", "beta", "snr_db", "trials", "symbol_errors", "ser", "ber", "seed", "stream")
 
 
 @dataclass
@@ -76,7 +77,7 @@ def run_peak_experiment(cfg: ExperimentConfig) -> list[dict]:
                     "sf": sf, "beta": beta, "snr_db": snr_db,
                     "mean_peak": mean_peak,
                     "mean_peak_ratio_vs_beta1": mean_peak / baseline,
-                    "trials": cfg.trials, "seed": cfg.seed,
+                    "trials": cfg.trials, "seed": cfg.seed, "stream": STREAM_VERSION,
                 })
                 bins_rows.extend(
                     (sf, beta, snr_db, idx, float(mag)) for idx, mag in enumerate(bins)
@@ -91,16 +92,16 @@ def run_peak_experiment(cfg: ExperimentConfig) -> list[dict]:
 def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Measured SER and natural-binary BER per (sf, beta, snr)."""
     rows = []
+    snrs = cfg.snr_values()
     for sf in cfg.sf_list:
         params = LoraParams(sf=sf, bw=cfg.bw)
         for beta in cfg.beta_list:
-            rf = ReductionFactor(beta)
-            for snr_db in cfg.snr_values():
-                ser, ber = run_error_trials(params, rf, snr_db, cfg.trials, cfg.seed)
+            results = run_error_trials(params, ReductionFactor(beta), snrs, cfg.trials, cfg.seed)
+            for snr_db, (ser, ber) in zip(snrs, results):
                 rows.append({
                     "sf": sf, "beta": beta, "snr_db": snr_db, "trials": cfg.trials,
                     "symbol_errors": round(ser * cfg.trials),
-                    "ser": ser, "ber": ber, "seed": cfg.seed,
+                    "ser": ser, "ber": ber, "seed": cfg.seed, "stream": STREAM_VERSION,
                 })
     if cfg.out_csv:
         _write_rows(cfg.out_csv, BER_CSV_COLUMNS, ([r[c] for c in BER_CSV_COLUMNS] for r in rows))

@@ -8,6 +8,7 @@ independent of the reduction factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,7 +75,7 @@ def decide_symbols(windows: np.ndarray, params: LoraParams) -> np.ndarray:
     """Hard symbol decisions for a (count, m) block: argmax bin per window.
 
     Same dechirp/transform/argmax pipeline as demodulate, without the
-    peak statistics; intended for Monte-Carlo trial loops.
+    peak statistics.
     """
     mags = _window_spectra(windows, params)
     return mags.argmax(axis=1)
@@ -137,10 +138,21 @@ def symbols_to_bits(symbols, sf: int) -> np.ndarray:
     return ((symbols[:, None] >> shifts[None, :]) & 1).reshape(-1)
 
 
+@lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """Number of set bits of each value in [0, n), n a power of two."""
+    table = np.zeros(n, dtype=np.int64)
+    width = 1
+    while width < n:
+        # the values in [width, 2 width) are those below width plus one high bit
+        table[width: 2 * width] = table[:width] + 1
+        width *= 2
+    table.setflags(write=False)
+    return table
+
+
 def bit_errors(sent, received, sf: int) -> int:
-    """Number of differing natural-binary bits between two symbol sequences."""
+    """Number of differing natural-binary bits, the low sf of each symbol, between two symbol sequences."""
+    n = 1 << sf
     diff = np.asarray(sent, dtype=np.int64) ^ np.asarray(received, dtype=np.int64)
-    total = 0
-    for i in range(sf):
-        total += int(((diff >> i) & 1).sum())
-    return total
+    return int(_popcounts(n)[diff & (n - 1)].sum())

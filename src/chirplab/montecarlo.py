@@ -1,10 +1,20 @@
 """Vectorized Monte-Carlo trial engine shared by calibration and the sweeps.
 
-Seed splitting: every (sf, beta, snr) evaluation owns an independent Philox
-stream derived from SeedSequence([master_seed, stream_tag, sf, beta_milli,
-snr_centi_db + SNR_OFFSET]). The key depends only on the evaluation's
-parameters, never on visit order, so bisection paths and row order cannot
-change results and any single CSV row is reproducible on its own.
+Bin-0 model: the downchirp has unit modulus, so dechirping leaves AWGN white
+and circular, and a cyclic shift by symbol k only rotates the transform bins
+by k. So a trial needs only the n-point transform of an m-sample window of
+ones (a tone at bin 0) plus transformed noise: its winning offset e is the
+argmax bin, it errs when e != 0, and a sent symbol k is decided as
+(k + e) mod n. The mean peak is rotation-invariant, and trial 0's spectrum is
+reported rotated to bin 0.
+
+Seed splitting: every (sf, beta) evaluation under a stream tag owns an
+independent Philox stream derived from SeedSequence([master_seed, stream_tag,
+sf, beta_milli]). The SNR is not in the key: each chunk draws unit-variance
+noise once and every SNR point scales that same noise, so a row does not
+depend on which other SNRs were requested, and bisection probes share their
+noise. Chunks hold max(1, 2**17 // n) trials, so one complex array is 2 MB at
+every sf; the chunk size is part of the stream (STREAM_VERSION).
 """
 from __future__ import annotations
 
@@ -12,17 +22,23 @@ import math
 
 import numpy as np
 
-from .channel import add_noise
-from .chirps import LoraParams, ReductionFactor, _base_ramp
-from .modem import _window_spectra, bit_errors, decide_symbols
+from .chirps import LoraParams, ReductionFactor
+from .modem import bit_errors
+
+# the engine calls none of these; perfbench/tracer.py wraps them under these names
+from .channel import add_noise  # noqa: F401
+from .chirps import _base_ramp  # noqa: F401
+from .modem import decide_symbols  # noqa: F401
+
+# Version of the mapping from (seed, parameters) to output bytes; written in every CSV.
+STREAM_VERSION = 2
 
 # Stream tags decouple experiments that share a master seed.
 TAG_PEAK = 0
 TAG_BER = 1
 TAG_CALIBRATION = 2
 
-SNR_OFFSET = 1 << 24  # keeps the snr entropy word non-negative
-_CHUNK = 8192
+_CHUNK_SAMPLES = 1 << 17
 
 
 def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
@@ -40,59 +56,77 @@ def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
     return points
 
 
-def derive_rng(master_seed: int, tag: int, sf: int, beta: float, snr_db: float) -> np.random.Generator:
-    """Philox generator for one (sf, beta, snr) evaluation under a master seed."""
-    entropy = [int(master_seed), int(tag), int(sf), round(beta * 1000), round(snr_db * 100) + SNR_OFFSET]
+def derive_rng(master_seed: int, tag: int, sf: int, beta: float) -> np.random.Generator:
+    """Philox generator for one (sf, beta) evaluation under a master seed and stream tag."""
+    entropy = [int(master_seed), int(tag), int(sf), round(beta * 1000)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _trial_chunks(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
-                  master_seed: int, tag: int, receive):
-    """Yield (sent, receive(windows, params)) per chunk of at most _CHUNK trials.
+def _trial_chunks(params: LoraParams, rf: ReductionFactor, trials: int, master_seed: int, tag: int):
+    """Yield (sent, noise) per chunk of at most max(1, 2**17 // n) trials.
 
-    sent holds random symbols and windows their m-sample chirps plus AWGN,
-    drawn from the evaluation's own stream (symbols, then noise, per chunk),
-    so results depend only on the seed and the fixed chunk size. Only the
-    receiver's output leaves the generator: a chunk's noisy windows are freed
-    before the next chunk is drawn.
+    sent holds random symbols and noise the n-point transforms of m samples
+    of unit-variance complex noise (variance 1 per component), one row per
+    trial, drawn from the evaluation's own stream (symbols, then noise, per
+    chunk), so results depend only on the seed and the fixed chunk size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = derive_rng(master_seed, tag, params.sf, rf.beta, snr_db)
-    ramp = _base_ramp(params.n)
-    shifts = np.arange(rf.m(params))[None, :]
-    for done in range(0, trials, _CHUNK):
-        sent = rng.integers(0, params.n, min(_CHUNK, trials - done))
-        yield sent, receive(add_noise(ramp[(shifts + sent[:, None]) % params.n], snr_db, rng), params)
+    rng = derive_rng(master_seed, tag, params.sf, rf.beta)
+    n, m = params.n, rf.m(params)
+    chunk = max(1, _CHUNK_SAMPLES // n)
+    for done in range(0, trials, chunk):
+        count = min(chunk, trials - done)
+        sent = rng.integers(0, n, count)
+        noise = rng.standard_normal((count, m, 2)).view(np.complex128)[..., 0]
+        yield sent, np.fft.fft(noise, n=n, axis=1)
 
 
-def run_error_trials(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
-                     master_seed: int, tag: int = TAG_BER) -> tuple[float, float]:
-    """Transmit random symbols through AWGN and return (ser, ber).
+def _received_magnitudes(tone: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
+    """Bin magnitudes |tone + sigma * noise|, with sigma^2 = 10**(-snr_db/10) / 2 per component."""
+    spectra = noise * (10.0 ** (-snr_db / 20.0) / math.sqrt(2.0))
+    spectra += tone
+    return np.abs(spectra)
 
-    BER uses the natural-binary mapping, sf bits per symbol.
+
+def _tone(params: LoraParams, rf: ReductionFactor) -> np.ndarray:
+    """The dechirped symbol 0: the n-point transform of m ones."""
+    return np.fft.fft(np.ones(rf.m(params)), n=params.n)
+
+
+def run_error_trials(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int,
+                     master_seed: int, tag: int = TAG_BER) -> list[tuple[float, float]]:
+    """Transmit random symbols through AWGN and return one (ser, ber) per SNR in snrs_db.
+
+    Every SNR point scales the same noise draw. BER uses the natural-binary
+    mapping, sf bits per symbol.
     """
-    sym_errs = 0
-    biterrs = 0
-    for sent, decided in _trial_chunks(params, rf, snr_db, trials, master_seed, tag, decide_symbols):
-        sym_errs += int((decided != sent).sum())
-        biterrs += bit_errors(sent, decided, params.sf)
-    return sym_errs / trials, biterrs / (trials * params.sf)
+    tone = _tone(params, rf)
+    sym_errs = [0] * len(snrs_db)
+    biterrs = [0] * len(snrs_db)
+    for sent, noise in _trial_chunks(params, rf, trials, master_seed, tag):
+        for i, snr_db in enumerate(snrs_db):
+            offset = _received_magnitudes(tone, noise, snr_db).argmax(axis=1)
+            sym_errs[i] += int(np.count_nonzero(offset))
+            biterrs[i] += bit_errors(sent, (sent + offset) % params.n, params.sf)
+    return [(errs / trials, bits / (trials * params.sf)) for errs, bits in zip(sym_errs, biterrs)]
 
 
 def symbol_error_rate(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
                       master_seed: int) -> float:
     """Symbol error rate over `trials` random symbols on the calibration stream; deterministic given the seed."""
-    ser, _ = run_error_trials(params, rf, snr_db, trials, master_seed, TAG_CALIBRATION)
+    [(ser, _)] = run_error_trials(params, rf, [snr_db], trials, master_seed, TAG_CALIBRATION)
     return ser
 
 
 def peak_statistics(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
                     master_seed: int) -> tuple[float, np.ndarray]:
-    """Mean transform-peak magnitude over trials, plus trial 0's full bin magnitudes."""
+    """Mean transform-peak magnitude over trials, plus trial 0's bin magnitudes rotated to bin 0."""
+    tone = _tone(params, rf)
     peak_sum = 0.0
     first_bins = None
-    for _, mags in _trial_chunks(params, rf, snr_db, trials, master_seed, TAG_PEAK, _window_spectra):
+    for _, noise in _trial_chunks(params, rf, trials, master_seed, TAG_PEAK):
+        mags = _received_magnitudes(tone, noise, snr_db)
         if first_bins is None:
             first_bins = mags[0].copy()
         peak_sum += float(mags.max(axis=1).sum())

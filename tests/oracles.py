@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 
+from chirplab.channel import add_noise
 from chirplab.framing import PreambleNotFoundError
-from chirplab.modem import NOISE_FLOOR_MIN, _window_spectra
+from chirplab.modem import NOISE_FLOOR_MIN, _window_spectra, modulate
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -115,3 +116,22 @@ def exhaustive_detect_preamble(buf, params, preamble_len=8, peak_ratio=4.0):
     if best is None:
         raise PreambleNotFoundError("no preamble run found above the peak-ratio threshold")
     return best
+
+
+def gathered_trials(params, rf, snr_db, trials, rng):
+    """Reference for the montecarlo engine: (symbol errors, per-trial peak magnitudes).
+
+    Each trial modulates a random symbol as its shifted chirp, adds AWGN with
+    channel.add_noise, then dechirps, transforms and takes the argmax, as a
+    receiver does; the bin-0 engine must agree with it in distribution.
+    """
+    chunk = 4096
+    errors = 0
+    peaks = []
+    for done in range(0, trials, chunk):
+        sent = rng.integers(0, params.n, min(chunk, trials - done))
+        windows = modulate(sent, params, rf).samples.reshape(len(sent), rf.m(params))
+        mags = _window_spectra(add_noise(windows, snr_db, rng), params)
+        errors += int((mags.argmax(axis=1) != sent).sum())
+        peaks.append(mags.max(axis=1))
+    return errors, np.concatenate(peaks)

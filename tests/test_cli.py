@@ -369,6 +369,7 @@ MALFORMED_ARGV = [
     ("toa --sf 7 --ns 200", 1),
     ("toa --sf 7", 2),
     ("frame-encode --sf 7 --payload 1 --preamble-len 0 --out {d}/x.cf32", 1),
+    ("frame-encode --sf 7 --payload 1 --snr nan --out {d}/x.cf32", 1),
     ("frame-decode --in {d}/frame.cf32 --preamble-len -3", 1),
     ("frame-decode --in {d}/frame.cf32 --preamble-len -8", 1),
     ("frame-decode --in {d}/v9.cf32", 3),

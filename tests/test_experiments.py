@@ -10,6 +10,7 @@ from chirplab.experiments import (
     run_ber_sweep,
     run_peak_experiment,
 )
+from chirplab.montecarlo import STREAM_VERSION
 
 
 def peak_cfg(**kwargs):
@@ -91,20 +92,24 @@ class TestBerSweep:
 
     def test_csv_row_carries_reproduction_inputs(self, tmp_path):
         out = tmp_path / "ber.csv"
-        cfg = ExperimentConfig(sf_list=(7,), beta_list=(1.0,), snr_start_db=-9.0,
-                               snr_stop_db=-8.5, trials=2000, seed=77, out_csv=str(out))
-        rows = run_ber_sweep(cfg)
+        cfg = ExperimentConfig(sf_list=(7,), beta_list=(1.0, 0.5), snr_start_db=-10.0,
+                               snr_stop_db=-8.0, trials=2000, seed=77, out_csv=str(out))
+        run_ber_sweep(cfg)
         with open(out, newline="") as handle:
-            read_back = list(csv.DictReader(handle))
+            lines = handle.read().splitlines()
+        read_back = list(csv.DictReader(lines))
         assert tuple(read_back[0].keys()) == BER_CSV_COLUMNS
-        for row, orig in zip(read_back, rows):
+        assert len(read_back) == 10
+        for row, line in zip(read_back, lines[1:]):
             assert int(row["seed"]) == 77
             assert int(row["trials"]) == 2000
-            # the row alone reproduces itself
-            rerun = run_ber_sweep(ExperimentConfig(
+            assert int(row["stream"]) == STREAM_VERSION
+            # the row alone reproduces itself byte for byte: its noise does not
+            # depend on which other SNRs were swept
+            alone = tmp_path / "alone.csv"
+            run_ber_sweep(ExperimentConfig(
                 sf_list=(int(row["sf"]),), beta_list=(float(row["beta"]),),
                 snr_start_db=float(row["snr_db"]), snr_stop_db=float(row["snr_db"]),
-                trials=int(row["trials"]), seed=int(row["seed"]),
-            ))[0]
-            assert rerun["ser"] == orig["ser"]
-            assert rerun["ber"] == orig["ber"]
+                trials=int(row["trials"]), seed=int(row["seed"]), out_csv=str(alone),
+            ))
+            assert alone.read_text().splitlines()[1] == line

@@ -261,3 +261,10 @@ class TestBitMapping:
     def test_bit_errors_counts_xor_bits(self):
         assert bit_errors([0b0000000], [0b1010001], 7) == 3
         assert bit_errors([5, 9, 77], [5, 9, 77], 7) == 0
+
+    @pytest.mark.parametrize("sf", [7, 12])
+    def test_bit_errors_match_bit_expansion(self, sf):
+        rng = np.random.default_rng(sf)
+        sent, received = rng.integers(0, 1 << sf, (2, 5000))
+        expected = int((symbols_to_bits(sent, sf) != symbols_to_bits(received, sf)).sum())
+        assert bit_errors(sent, received, sf) == expected

@@ -1,13 +1,13 @@
-"""The Monte-Carlo trial engine against the analytic beta = 1 symbol error rate."""
+"""The Monte-Carlo trial engine against the analytic beta = 1 symbol error rate and the gathered-chirp engine."""
 from math import comb
 
 import numpy as np
 import pytest
 
 from chirplab.chirps import LoraParams, ReductionFactor
-from chirplab.montecarlo import run_error_trials
+from chirplab.montecarlo import peak_statistics, run_error_trials
 
-from oracles import analytic_ser
+from oracles import analytic_ser, gathered_trials
 
 Z_999 = 3.2905  # two-sided 99.9% standard normal quantile
 
@@ -27,6 +27,25 @@ def test_quadrature_matches_closed_form_for_small_n(sf, snr_db):
 @pytest.mark.parametrize("snr_db", [-10.0, -9.0, -8.0])
 def test_beta_one_ser_within_binomial_interval(snr_db):
     trials = 50_000
-    ser, _ = run_error_trials(LoraParams(sf=7, bw=125e3), ReductionFactor(1.0), snr_db, trials, master_seed=7)
+    [(ser, _)] = run_error_trials(LoraParams(sf=7, bw=125e3), ReductionFactor(1.0), [snr_db], trials, master_seed=7)
     expected = analytic_ser(7, snr_db)
     assert abs(ser - expected) <= Z_999 * np.sqrt(expected * (1.0 - expected) / trials), (ser, expected)
+
+
+@pytest.mark.parametrize("sf, beta, snr_db", [(7, 1.0, -9.0), (7, 0.5, -5.0), (9, 0.75, -13.0), (10, 0.625, -15.0)])
+def test_symbol_errors_match_gathered_engine(sf, beta, snr_db):
+    params, rf, trials = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta), 20_000
+    [(ser, _)] = run_error_trials(params, rf, [snr_db], trials, master_seed=1)
+    errors = round(ser * trials)
+    oracle_errors, _ = gathered_trials(params, rf, snr_db, trials, np.random.default_rng(2))
+    pooled = (errors + oracle_errors) / (2 * trials)
+    z = (errors - oracle_errors) / trials / np.sqrt(pooled * (1.0 - pooled) * 2 / trials)
+    assert abs(z) <= Z_999, (errors, oracle_errors)
+
+
+def test_mean_peak_matches_gathered_engine():
+    params, rf, snr_db, trials = LoraParams(sf=7, bw=125e3), ReductionFactor(0.875), 0.0, 20_000
+    mean_peak, _ = peak_statistics(params, rf, snr_db, trials, master_seed=1)
+    _, peaks = gathered_trials(params, rf, snr_db, trials, np.random.default_rng(2))
+    z = (mean_peak - peaks.mean()) / (peaks.std() * np.sqrt(2 / trials))
+    assert abs(z) <= Z_999, (mean_peak, peaks.mean())
