@@ -10,6 +10,7 @@ full symbol period.
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -46,18 +47,8 @@ class ThresholdTable:
 
     def validate(self):
         """Check both monotonicity invariants; raises ValueError on violation."""
-        sfs = sorted({sf for sf, _ in self.entries})
-        for sf in sfs:
-            betas = sorted(b for s, b in self.entries if s == sf)
-            reqs = [self.entries[(sf, b)] for b in betas]
-            if any(a < b for a, b in zip(reqs, reqs[1:])):
-                raise ValueError(f"required SNR not non-increasing in beta at sf={sf}: {list(zip(betas, reqs))}")
-        betas = sorted({b for _, b in self.entries})
-        for beta in betas:
-            here = sorted(((sf, self.entries[(sf, beta)]) for sf, b in self.entries if b == beta))
-            reqs = [r for _, r in here]
-            if any(a < b for a, b in zip(reqs, reqs[1:])):
-                raise ValueError(f"required SNR not non-increasing in sf at beta={beta}: {here}")
+        _check_non_increasing(((sf, beta, req) for (sf, beta), req in self.entries.items()), "beta", "sf")
+        _check_non_increasing(((beta, sf, req) for (sf, beta), req in self.entries.items()), "sf", "beta")
 
     def write_csv(self, path):
         with open(path, "w", newline="") as handle:
@@ -70,10 +61,11 @@ class ThresholdTable:
     def read_csv(cls, path) -> "ThresholdTable":
         """Read a table written by write_csv; raises ValueError if it is malformed or inconsistent.
 
-        The table needs every column but the stream version (which is
-        written, not read back) and at least one row, one target_ser, trials
-        and seed shared by all rows, at most one row per (sf, beta), and
-        thresholds that pass validate().
+        The table needs every column but the stream version and at least one
+        row, one target_ser, trials and seed shared by all rows, at most one
+        row per (sf, beta), and thresholds that pass validate(). A stream
+        column, if present, must read STREAM_VERSION in every row: other
+        streams calibrated other noise.
         """
         with open(path, newline="") as handle:
             # restval: a short row reads as empty cells, which fail conversion
@@ -84,6 +76,10 @@ class ThresholdTable:
             rows = list(reader)
         if not rows:
             raise ValueError(f"threshold table {path} has no rows")
+        streams = {row.get("stream", str(STREAM_VERSION)) for row in rows}
+        if streams != {str(STREAM_VERSION)}:
+            raise ValueError(f"threshold table {path} has stream versions {sorted(streams)}, "
+                             f"not the supported {STREAM_VERSION}")
         meta = {(float(row["target_ser"]), int(row["trials"]), int(row["seed"])) for row in rows}
         if len(meta) > 1:
             raise ValueError(f"threshold table {path} mixes (target_ser, trials, seed) values {sorted(meta)}")
@@ -97,6 +93,17 @@ class ThresholdTable:
         table = cls(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
         table.validate()
         return table
+
+
+def _check_non_increasing(triples, along: str, at: str):
+    """Raise ValueError unless, in each group of (group, key, required SNR) triples, the SNR never rises with key."""
+    groups = {}
+    for group, key, req in sorted(triples):
+        groups.setdefault(group, []).append((key, req))
+    for group, pairs in groups.items():
+        reqs = [req for _, req in pairs]
+        if any(a < b for a, b in zip(reqs, reqs[1:])):
+            raise ValueError(f"required SNR not non-increasing in {along} at {at}={group}: {pairs}")
 
 
 @dataclass
@@ -116,8 +123,13 @@ class LinkHistory:
 
 
 def record_packet(history: LinkHistory, snr_db: float) -> LinkHistory:
-    """Append one packet SNR, evicting the oldest beyond capacity; returns the history."""
-    history.recent_snrs.append(float(snr_db))
+    """Append one packet SNR, evicting the oldest beyond capacity; returns the history.
+
+    A NaN SNR raises ValueError: min() over the window would depend on its position.
+    """
+    if math.isnan(snr_db := float(snr_db)):
+        raise ValueError("packet SNR is NaN")
+    history.recent_snrs.append(snr_db)
     return history
 
 
@@ -153,6 +165,9 @@ def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAU
     Each threshold is the smallest point of the fixed search grid (SNR_SEARCH_*)
     at which the SER is at most target_ser, which must lie in (0, 1).
     """
+    params_set, betas = tuple(params_set), tuple(betas)
+    if not (params_set and betas):
+        raise ValueError("calibration needs at least one sf and one beta")
     if not 0 < target_ser < 1:
         raise ValueError(f"target SER must lie in (0, 1), got {target_ser}")
     if trials < 10 / target_ser:
@@ -171,8 +186,11 @@ def select_beta(history: LinkHistory, table: ThresholdTable, sf: int,
 
     Ranges over the betas the table holds for sf, of which beta = 1 must be
     one (KeyError otherwise). Falls back to beta = 1 when even its own
-    threshold is unmet; links without surplus SNR never truncate.
+    threshold is unmet; links without surplus SNR never truncate. A NaN
+    margin raises ValueError.
     """
+    if math.isnan(safety_margin_db):
+        raise ValueError("safety margin is NaN")
     table.required_snr_db(sf, 1.0)
     surplus = history.min_snr_db() - safety_margin_db
     for beta in sorted(b for s, b in table.entries if s == sf):

@@ -36,6 +36,8 @@ class ExperimentConfig:
     def __post_init__(self):
         self.sf_list = tuple(int(sf) for sf in self.sf_list)
         self.beta_list = tuple(float(b) for b in self.beta_list)
+        if not (self.sf_list and self.beta_list):
+            raise ValueError("a sweep needs at least one sf and one beta")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         self.snr_values()  # raises ValueError on a bad SNR range
@@ -58,21 +60,21 @@ def run_peak_experiment(cfg: ExperimentConfig) -> list[dict]:
     """Mean transform-peak magnitude per (sf, beta, snr), normalized to beta = 1.
 
     The beta = 1 baseline of each (sf, snr) cell is always measured, whether
-    or not it is in cfg.beta_list. When cfg.out_csv / cfg.bins_csv are set,
-    writes the summary table and one representative trial's per-bin
-    magnitudes for plotting.
+    or not it is in cfg.beta_list; each (sf, beta) stream is drawn once for
+    all SNR points. With cfg.out_csv / cfg.bins_csv set, writes the summary
+    table and one representative trial's per-bin magnitudes for plotting.
     """
     rows = []
     bins_rows = []
+    snrs = cfg.snr_values()
     for sf in cfg.sf_list:
         params = LoraParams(sf=sf, bw=cfg.bw)
-        for snr_db in cfg.snr_values():
-            baseline, baseline_bins = peak_statistics(params, ReductionFactor(1.0), snr_db, cfg.trials, cfg.seed)
+        stats = {beta: peak_statistics(params, ReductionFactor(beta), snrs, cfg.trials, cfg.seed)
+                 for beta in dict.fromkeys((1.0,) + cfg.beta_list)}
+        for i, snr_db in enumerate(snrs):
+            baseline, _ = stats[1.0][i]
             for beta in cfg.beta_list:
-                if beta == 1.0:
-                    mean_peak, bins = baseline, baseline_bins
-                else:
-                    mean_peak, bins = peak_statistics(params, ReductionFactor(beta), snr_db, cfg.trials, cfg.seed)
+                mean_peak, bins = stats[beta][i]
                 rows.append({
                     "sf": sf, "beta": beta, "snr_db": snr_db,
                     "mean_peak": mean_peak,

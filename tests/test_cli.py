@@ -7,6 +7,7 @@ from chirplab import cli, iqfile
 from chirplab.adaptive import TABLE_CSV_COLUMNS
 from chirplab.chirps import IqBuffer, LoraParams, ReductionFactor, base_upchirp, shifted_upchirp
 from chirplab.framing import FrameSpec, build_frame
+from chirplab.montecarlo import STREAM_VERSION
 
 SF7 = LoraParams(sf=7, bw=125e3)
 
@@ -268,7 +269,7 @@ class TestCalibrateSelect:
         assert code == cli.EXIT_CALIBRATION
         assert "unreachable" in err
 
-    GOOD = [(7, beta, req, 0.001, 100000, 0)
+    GOOD = [(7, beta, req, 0.001, 100000, 0, STREAM_VERSION)
             for beta, req in ((1.0, -7.5), (0.875, -7.0), (0.75, -6.0), (0.625, -5.0), (0.5, -4.5))]
 
     @staticmethod
@@ -327,6 +328,17 @@ class TestCalibrateSelect:
         assert code == 0
         assert out.strip() == "beta=0.5 index=4"
 
+    @pytest.mark.parametrize("stream, code", [("1", 1), (None, 0)])
+    def test_select_checks_table_stream(self, tmp_path, capsys, stream, code):
+        # a stream-1 table was calibrated on other noise; a table without the column is read as current
+        if stream is None:
+            rows, header = [row[:6] for row in self.GOOD], TABLE_CSV_COLUMNS[:6]
+        else:
+            rows, header = [(*row[:6], stream) for row in self.GOOD], TABLE_CSV_COLUMNS
+        got, out, err = self.select(tmp_path, capsys, "-1.0\n", rows, header=header)
+        assert got == code
+        assert ("stream" in err) if code else out.strip() == "beta=0.5 index=4"
+
     def test_select_table_with_beta_inversion(self, tmp_path, capsys):
         # beta 0.625 needing less SNR than beta 0.75 breaks the monotone order selection relies on
         rows = [list(row) for row in self.GOOD]
@@ -350,6 +362,8 @@ def malformed_inputs(tmp_path_factory):
     write_table(root / "no_beta1.csv", good[1:])
     (root / "history.txt").write_text("-1.0\n")
     (root / "bad_history.txt").write_text("-1.0\nloud\n")
+    (root / "nan_first.txt").write_text("nan\n10\n")
+    (root / "nan_last.txt").write_text("10\nnan\n")
     return root
 
 
@@ -378,11 +392,13 @@ MALFORMED_ARGV = [
     ("peak-experiment --snr-start nan --out {d}/x.csv", 1),
     ("peak-experiment --snr-step 0 --out {d}/x.csv", 1),
     ("peak-experiment --betas 0.9 --out {d}/x.csv", 1),
+    ("peak-experiment --betas= --out {d}/x.csv", 1),
     ("ber-sweep --snr-stop inf --out {d}/x.csv", 1),
     ("ber-sweep --snr-step nan --out {d}/x.csv", 1),
     ("ber-sweep --snr-start 1 --snr-stop 0 --out {d}/x.csv", 1),
     ("ber-sweep --trials 0 --out {d}/x.csv", 1),
     ("ber-sweep --sf 7,x --out {d}/x.csv", 1),
+    ("ber-sweep --sf= --out {d}/x.csv", 1),
     ("ber-sweep --out {d}/absent/x.csv --snr 300", 1),
     ("calibrate --target-ser 0 --out {d}/x.csv", 1),
     ("calibrate --target-ser -0.5 --out {d}/x.csv", 1),
@@ -390,11 +406,15 @@ MALFORMED_ARGV = [
     ("calibrate --target-ser nan --out {d}/x.csv", 1),
     ("calibrate --trials 10 --out {d}/x.csv", 1),
     ("calibrate --betas 0.9 --out {d}/x.csv", 1),
+    ("calibrate --betas= --out {d}/x.csv", 1),
     ("calibrate --out", 2),
     ("select --table {d}/dup.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/no_beta1.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/absent.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/bad_history.txt --sf 7", 1),
+    ("select --table {d}/good.csv --in {d}/nan_first.txt --sf 7", 1),
+    ("select --table {d}/good.csv --in {d}/nan_last.txt --sf 7", 1),
+    ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --margin-db nan", 1),
 ]
 
 

@@ -90,26 +90,35 @@ class TestBerSweep:
         assert rows[0.5]["ser"] > rows[0.75]["ser"] > rows[1.0]["ser"] > 0
         assert rows[0.5]["ber"] > rows[1.0]["ber"]
 
-    def test_csv_row_carries_reproduction_inputs(self, tmp_path):
-        out = tmp_path / "ber.csv"
-        cfg = ExperimentConfig(sf_list=(7,), beta_list=(1.0, 0.5), snr_start_db=-10.0,
-                               snr_stop_db=-8.0, trials=2000, seed=77, out_csv=str(out))
-        run_ber_sweep(cfg)
+    @pytest.mark.parametrize("sweep", [run_ber_sweep, run_peak_experiment])
+    def test_csv_row_carries_reproduction_inputs(self, tmp_path, sweep):
+        out, bins = tmp_path / "wide.csv", tmp_path / "wide.bins.csv"
+        cfg = ExperimentConfig(sf_list=(7,), beta_list=(1.0, 0.5), snr_start_db=-10.0, snr_stop_db=-8.0,
+                               trials=2000, seed=77, out_csv=str(out), bins_csv=str(bins))
+        sweep(cfg)
+        columns = BER_CSV_COLUMNS if sweep is run_ber_sweep else PEAK_CSV_COLUMNS
         with open(out, newline="") as handle:
             lines = handle.read().splitlines()
         read_back = list(csv.DictReader(lines))
-        assert tuple(read_back[0].keys()) == BER_CSV_COLUMNS
+        assert tuple(read_back[0].keys()) == columns
         assert len(read_back) == 10
+        wide_bins = bins.read_text().splitlines()[1:] if sweep is run_peak_experiment else []
         for row, line in zip(read_back, lines[1:]):
             assert int(row["seed"]) == 77
             assert int(row["trials"]) == 2000
             assert int(row["stream"]) == STREAM_VERSION
             # the row alone reproduces itself byte for byte: its noise does not
-            # depend on which other SNRs were swept
-            alone = tmp_path / "alone.csv"
-            run_ber_sweep(ExperimentConfig(
+            # depend on which other SNRs or betas were swept
+            alone, alone_bins = tmp_path / "alone.csv", tmp_path / "alone.bins.csv"
+            sweep(ExperimentConfig(
                 sf_list=(int(row["sf"]),), beta_list=(float(row["beta"]),),
                 snr_start_db=float(row["snr_db"]), snr_stop_db=float(row["snr_db"]),
-                trials=int(row["trials"]), seed=int(row["seed"]), out_csv=str(alone),
+                trials=int(row["trials"]), seed=int(row["seed"]),
+                out_csv=str(alone), bins_csv=str(alone_bins),
             ))
             assert alone.read_text().splitlines()[1] == line
+            if sweep is run_peak_experiment:
+                cell = f"{row['sf']},{row['beta']},{row['snr_db']},"
+                here = [b for b in wide_bins if b.startswith(cell)]
+                assert len(here) == 128
+                assert alone_bins.read_text().splitlines()[1:] == here

@@ -45,7 +45,7 @@ def test_symbol_errors_match_gathered_engine(sf, beta, snr_db):
 
 def test_mean_peak_matches_gathered_engine():
     params, rf, snr_db, trials = LoraParams(sf=7, bw=125e3), ReductionFactor(0.875), 0.0, 20_000
-    mean_peak, _ = peak_statistics(params, rf, snr_db, trials, master_seed=1)
+    [(mean_peak, _)] = peak_statistics(params, rf, [snr_db], trials, master_seed=1)
     _, peaks = gathered_trials(params, rf, snr_db, trials, np.random.default_rng(2))
     z = (mean_peak - peaks.mean()) / (peaks.std() * np.sqrt(2 / trials))
     assert abs(z) <= Z_999, (mean_peak, peaks.mean())
