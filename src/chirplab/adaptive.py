@@ -9,12 +9,13 @@ full symbol period.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .chirps import BETA_TABLE, LoraParams, ReductionFactor
+from .chirps import BETA_TABLE, SPREADING_FACTORS, LoraParams, ReductionFactor
 from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate
 
 DEFAULT_TARGET_SER = 1e-3
@@ -46,7 +47,17 @@ class ThresholdTable:
             raise KeyError(f"no calibrated threshold for sf={sf}, beta={beta}") from None
 
     def validate(self):
-        """Check both monotonicity invariants; raises ValueError on violation."""
+        """Check the values a calibration can produce and both monotonicity invariants; raises ValueError.
+
+        target_ser must lie in (0, 1), every sf in SPREADING_FACTORS, every
+        beta in BETA_TABLE and every threshold be finite.
+        """
+        _check_target_ser(self.target_ser)
+        for (sf, beta), req in self.entries.items():
+            if sf not in SPREADING_FACTORS or beta not in BETA_TABLE or not math.isfinite(req):
+                raise ValueError(f"threshold {req} for sf={sf}, beta={beta} is not a calibrated value: "
+                                 f"sf must be one of {SPREADING_FACTORS}, beta one of {BETA_TABLE}, "
+                                 f"and the threshold finite")
         _check_non_increasing(((sf, beta, req) for (sf, beta), req in self.entries.items()), "beta", "sf")
         _check_non_increasing(((beta, sf, req) for (sf, beta), req in self.entries.items()), "sf", "beta")
 
@@ -80,19 +91,24 @@ class ThresholdTable:
         if streams != {str(STREAM_VERSION)}:
             raise ValueError(f"threshold table {path} has stream versions {sorted(streams)}, "
                              f"not the supported {STREAM_VERSION}")
-        meta = {(float(row["target_ser"]), int(row["trials"]), int(row["seed"])) for row in rows}
-        if len(meta) > 1:
-            raise ValueError(f"threshold table {path} mixes (target_ser, trials, seed) values {sorted(meta)}")
-        target_ser, trials, seed = meta.pop()
+        meta = [(float(row["target_ser"]), int(row["trials"]), int(row["seed"])) for row in rows]
         entries = {}
         for row in rows:
             key = (int(row["sf"]), float(row["beta"]))
             if key in entries:
                 raise ValueError(f"threshold table {path} lists sf={key[0]}, beta={key[1]} twice")
             entries[key] = float(row["required_snr_db"])
+        target_ser, trials, seed = meta[0]
         table = cls(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
-        table.validate()
+        table.validate()  # before the mix check: a NaN target_ser never equals itself
+        if len(set(meta)) > 1:
+            raise ValueError(f"threshold table {path} mixes (target_ser, trials, seed) values {sorted(set(meta))}")
         return table
+
+
+def _check_target_ser(target_ser: float):
+    if not 0 < target_ser < 1:
+        raise ValueError(f"target SER must lie in (0, 1), got {target_ser}")
 
 
 def _check_non_increasing(triples, along: str, at: str):
@@ -114,7 +130,9 @@ class LinkHistory:
     recent_snrs: deque = field(default_factory=deque)
 
     def __post_init__(self):
-        self.recent_snrs = deque(self.recent_snrs, maxlen=self.capacity)
+        initial, self.recent_snrs = self.recent_snrs, deque(maxlen=self.capacity)
+        for snr_db in initial:
+            record_packet(self, snr_db)
 
     def min_snr_db(self) -> float:
         if not self.recent_snrs:
@@ -135,27 +153,16 @@ def record_packet(history: LinkHistory, snr_db: float) -> LinkHistory:
 
 def _required_snr(params: LoraParams, rf: ReductionFactor, target_ser: float, trials: int,
                   seed: int) -> float:
-    """Smallest SNR of the search grid with SER <= target, by bisection over its indices."""
+    """Smallest SNR of the search grid with SER <= target, by bisection: assumes the SER never rises with the SNR."""
     grid = snr_grid(SNR_SEARCH_MIN_DB, SNR_SEARCH_MAX_DB, SNR_SEARCH_STEP_DB)
-
-    def ser_at(idx: int) -> float:
-        return symbol_error_rate(params, rf, grid[idx], trials, seed)
-
-    if ser_at(0) <= target_ser:
-        return grid[0]
-    if ser_at(len(grid) - 1) > target_ser:
+    index = bisect.bisect_left(
+        grid, True, key=lambda snr_db: symbol_error_rate(params, rf, snr_db, trials, seed) <= target_ser)
+    if index == len(grid):
         raise CalibrationError(
             f"SER above {target_ser} across the whole [{SNR_SEARCH_MIN_DB}, {SNR_SEARCH_MAX_DB}] dB range "
             f"for sf={params.sf}, beta={rf.beta}"
         )
-    lo, hi = 0, len(grid) - 1  # ser(lo) > target >= ser(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ser_at(mid) <= target_ser:
-            hi = mid
-        else:
-            lo = mid
-    return grid[hi]
+    return grid[index]
 
 
 def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAULT_TARGET_SER,
@@ -168,8 +175,7 @@ def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAU
     params_set, betas = tuple(params_set), tuple(betas)
     if not (params_set and betas):
         raise ValueError("calibration needs at least one sf and one beta")
-    if not 0 < target_ser < 1:
-        raise ValueError(f"target SER must lie in (0, 1), got {target_ser}")
+    _check_target_ser(target_ser)
     if trials < 10 / target_ser:
         raise ValueError(f"need at least {10 / target_ser:.0f} trials to resolve SER {target_ser}")
     entries = {}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from chirplab.adaptive import (
     record_packet,
     select_beta,
 )
-from chirplab.chirps import BETA_TABLE, LoraParams
+from chirplab.chirps import BETA_TABLE, LoraParams, ReductionFactor
+from chirplab.montecarlo import TAG_CALIBRATION, run_error_trials, snr_grid
 
 SF7 = LoraParams(sf=7, bw=125e3)
 
@@ -57,6 +60,15 @@ class TestLinkHistory:
     def test_empty_min_raises(self):
         with pytest.raises(ValueError):
             LinkHistory().min_snr_db()
+
+    @pytest.mark.parametrize("snrs", [[10.0, float("nan")], [float("nan"), 10.0]])
+    def test_initial_values_reject_nan(self, snrs):
+        # min() over a window holding NaN depends on where the NaN sits, as in record_packet
+        with pytest.raises(ValueError, match="NaN"):
+            LinkHistory(recent_snrs=snrs)
+
+    def test_initial_values_keep_capacity(self):
+        assert list(LinkHistory(capacity=2, recent_snrs=[1.0, 2.0, 3.0]).recent_snrs) == [2.0, 3.0]
 
 
 class TestSelectBeta:
@@ -174,6 +186,18 @@ class TestCalibration:
         table = calibrate_thresholds(params, betas=(1.0, 0.5), target_ser=1e-2, trials=2000, seed=9)
         table.validate()
         assert table.entries[(9, 1.0)] < table.entries[(7, 1.0)]
+
+    @pytest.mark.parametrize("sf, beta, seed", [(7, 1.0, 9), (7, 0.5, 3), (9, 0.75, 11)])
+    def test_search_matches_full_grid_within_probe_bound(self, monkeypatch, sf, beta, seed):
+        # streams do not depend on the SNR, so one engine call over the whole grid is the oracle
+        params, rf, target_ser, trials = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta), 1e-2, 2000
+        grid = snr_grid(adaptive.SNR_SEARCH_MIN_DB, adaptive.SNR_SEARCH_MAX_DB, adaptive.SNR_SEARCH_STEP_DB)
+        sers = [ser for ser, _ in run_error_trials(params, rf, grid, trials, seed, TAG_CALIBRATION)]
+        expected = next(snr for snr, ser in zip(grid, sers) if ser <= target_ser)
+        probes, probe = [], adaptive.symbol_error_rate
+        monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: probes.append(args[2]) or probe(*args))
+        assert adaptive._required_snr(params, rf, target_ser, trials, seed) == expected
+        assert len(probes) <= math.ceil(math.log2(len(grid) + 1)) == 7
 
     def test_unreachable_target_raises(self, monkeypatch):
         monkeypatch.setattr(adaptive, "SNR_SEARCH_MAX_DB", -25.0)

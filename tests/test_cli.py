@@ -322,6 +322,11 @@ class TestCalibrateSelect:
         rows[2][column] = value
         assert "mixes" in self.select_error(tmp_path, capsys, rows)
 
+    def test_select_table_with_nan_target_ser(self, tmp_path, capsys):
+        # NaN never equals NaN, so a mix check run first would call two NaN cells a mix
+        rows = [(*row[:3], "nan", *row[4:]) for row in self.GOOD]
+        assert "target SER must lie in (0, 1), got nan" in self.select_error(tmp_path, capsys, rows)
+
     def test_select_over_calibrated_betas(self, tmp_path, capsys):
         # a table from `calibrate --betas 1.0,0.5`: 0.5 is the only truncation on offer
         code, out, _ = self.select(tmp_path, capsys, "-1.0\n", [self.GOOD[0], self.GOOD[4]])
@@ -360,6 +365,12 @@ def malformed_inputs(tmp_path_factory):
     write_table(root / "good.csv", good)
     write_table(root / "dup.csv", good + [good[0]])
     write_table(root / "no_beta1.csv", good[1:])
+    # values no calibration produces, each in a table that the other checks pass
+    write_table(root / "nan_threshold.csv", [(7, 1.0, "nan", *good[0][3:]), good[4]])
+    write_table(root / "beta_0.9.csv", good[:1] + [(7, 0.9, -7.2, *good[0][3:])] + good[1:])
+    write_table(root / "sf_99.csv", good + [(99, 1.0, -20.0, *good[0][3:])])
+    write_table(root / "nan_target.csv", [(*good[0][:3], "nan", *good[0][4:])])
+    write_table(root / "target_1.5.csv", [(*good[0][:3], 1.5, *good[0][4:])])
     (root / "history.txt").write_text("-1.0\n")
     (root / "bad_history.txt").write_text("-1.0\nloud\n")
     (root / "nan_first.txt").write_text("nan\n10\n")
@@ -411,6 +422,11 @@ MALFORMED_ARGV = [
     ("select --table {d}/dup.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/no_beta1.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/absent.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/nan_threshold.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/beta_0.9.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/sf_99.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/nan_target.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/target_1.5.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/bad_history.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/nan_first.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/nan_last.txt --sf 7", 1),
