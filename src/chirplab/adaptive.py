@@ -9,14 +9,13 @@ full symbol period.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
 from .chirps import BETA_TABLE, SPREADING_FACTORS, LoraParams, ReductionFactor
-from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate
+from .montecarlo import STREAM_VERSION, check_seed, snr_grid, symbol_error_rate
 
 DEFAULT_TARGET_SER = 1e-3
 DEFAULT_SAFETY_MARGIN_DB = 2.0
@@ -49,10 +48,13 @@ class ThresholdTable:
     def validate(self):
         """Check the values a calibration can produce and both monotonicity invariants; raises ValueError.
 
-        target_ser must lie in (0, 1), every sf in SPREADING_FACTORS, every
-        beta in BETA_TABLE and every threshold be finite.
+        target_ser must lie in (0, 1), trials reach 10 / target_ser, seed be
+        >= 0, every sf lie in SPREADING_FACTORS, every beta in BETA_TABLE and
+        every threshold be finite.
         """
         _check_target_ser(self.target_ser)
+        _check_trials(self.trials, self.target_ser)
+        check_seed(self.seed)
         for (sf, beta), req in self.entries.items():
             if sf not in SPREADING_FACTORS or beta not in BETA_TABLE or not math.isfinite(req):
                 raise ValueError(f"threshold {req} for sf={sf}, beta={beta} is not a calibrated value: "
@@ -111,6 +113,12 @@ def _check_target_ser(target_ser: float):
         raise ValueError(f"target SER must lie in (0, 1), got {target_ser}")
 
 
+def _check_trials(trials: int, target_ser: float):
+    """Raise ValueError unless trials reach 10 / target_ser: fewer expect under 10 errors at the target."""
+    if trials < 10 / target_ser:
+        raise ValueError(f"need at least {10 / target_ser:.0f} trials to resolve SER {target_ser}, got {trials}")
+
+
 def _check_non_increasing(triples, along: str, at: str):
     """Raise ValueError unless, in each group of (group, key, required SNR) triples, the SNR never rises with key."""
     groups = {}
@@ -130,6 +138,8 @@ class LinkHistory:
     recent_snrs: deque = field(default_factory=deque)
 
     def __post_init__(self):
+        if self.capacity < 1:
+            raise ValueError(f"link history capacity must be >= 1, got {self.capacity}")
         initial, self.recent_snrs = self.recent_snrs, deque(maxlen=self.capacity)
         for snr_db in initial:
             record_packet(self, snr_db)
@@ -151,18 +161,37 @@ def record_packet(history: LinkHistory, snr_db: float) -> LinkHistory:
     return history
 
 
+def _first_passing(params: LoraParams, rf: ReductionFactor, target_ser: float, trials: int, seed: int,
+                   snrs_db) -> int:
+    """Index of the first point of snrs_db whose SER is at most target_ser, else len(snrs_db); one engine pass."""
+    sers = symbol_error_rate(params, rf, snrs_db, trials, seed)
+    return next((i for i, ser in enumerate(sers) if ser <= target_ser), len(snrs_db))
+
+
 def _required_snr(params: LoraParams, rf: ReductionFactor, target_ser: float, trials: int,
                   seed: int) -> float:
-    """Smallest SNR of the search grid with SER <= target, by bisection: assumes the SER never rises with the SNR."""
+    """Smallest SNR of the search grid with SER <= target, in at most two passes over the calibration stream.
+
+    Assumes the SER never rises with the SNR. Pass 1 scores every stride-th
+    grid point, stride = isqrt(len(grid)) (8 on the 71-point grid, so 9
+    points). Pass 2 scores the points between the last coarse point that
+    failed and the first that passed (at most 7), or those after the last
+    coarse point if none passed. A point's SER does not depend on which
+    points share its pass, so under that assumption the result is the first
+    grid point that passes, as if every point were scored alone.
+    """
     grid = snr_grid(SNR_SEARCH_MIN_DB, SNR_SEARCH_MAX_DB, SNR_SEARCH_STEP_DB)
-    index = bisect.bisect_left(
-        grid, True, key=lambda snr_db: symbol_error_rate(params, rf, snr_db, trials, seed) <= target_ser)
-    if index == len(grid):
+    stride = math.isqrt(len(grid))  # about sqrt(len) points per pass scores the fewest points in two passes
+    hi = stride * _first_passing(params, rf, target_ser, trials, seed, grid[::stride])
+    lo, hi = max(hi - stride + 1, 0), min(hi, len(grid))
+    if lo < hi:
+        hi = lo + _first_passing(params, rf, target_ser, trials, seed, grid[lo:hi])
+    if hi == len(grid):
         raise CalibrationError(
             f"SER above {target_ser} across the whole [{SNR_SEARCH_MIN_DB}, {SNR_SEARCH_MAX_DB}] dB range "
             f"for sf={params.sf}, beta={rf.beta}"
         )
-    return grid[index]
+    return grid[hi]
 
 
 def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAULT_TARGET_SER,
@@ -170,14 +199,15 @@ def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAU
     """Monte-Carlo calibration of required SNR per (sf, beta); deterministic given seed.
 
     Each threshold is the smallest point of the fixed search grid (SNR_SEARCH_*)
-    at which the SER is at most target_ser, which must lie in (0, 1).
+    at which the SER is at most target_ser, which must lie in (0, 1), with
+    trials >= 10 / target_ser and seed >= 0.
     """
     params_set, betas = tuple(params_set), tuple(betas)
     if not (params_set and betas):
         raise ValueError("calibration needs at least one sf and one beta")
     _check_target_ser(target_ser)
-    if trials < 10 / target_ser:
-        raise ValueError(f"need at least {10 / target_ser:.0f} trials to resolve SER {target_ser}")
+    _check_trials(trials, target_ser)
+    check_seed(seed)
     entries = {}
     for params in params_set:
         for beta in betas:

@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .chirps import BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import STREAM_VERSION, peak_statistics, run_error_trials, snr_grid
+from .montecarlo import STREAM_VERSION, check_seed, peak_statistics, run_error_trials, snr_grid
 
 PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed", "stream")
 PEAK_BINS_CSV_COLUMNS = ("sf", "beta", "snr_db", "bin", "magnitude")
@@ -40,6 +40,7 @@ class ExperimentConfig:
             raise ValueError("a sweep needs at least one sf and one beta")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        check_seed(self.seed)
         self.snr_values()  # raises ValueError on a bad SNR range
         for beta in self.beta_list:
             if beta not in BETA_TABLE:

@@ -12,9 +12,10 @@ Seed splitting: every (sf, beta) evaluation under a stream tag owns an
 independent Philox stream derived from SeedSequence([master_seed, stream_tag,
 sf, beta_milli]). The SNR is not in the key: each chunk draws unit-variance
 noise once and every SNR point scales that same noise, so a row does not
-depend on which other SNRs were requested, and bisection probes share their
-noise. Chunks hold max(1, 2**17 // n) trials, so one complex array is 2 MB at
-every sf; the chunk size is part of the stream (STREAM_VERSION).
+depend on which other SNRs were requested, and one pass over a stream scores
+any number of SNR points (the calibration search scores a block of its grid
+per pass). Chunks hold max(1, 2**17 // n) trials, so one complex array is
+2 MB at every sf; the chunk size is part of the stream (STREAM_VERSION).
 """
 from __future__ import annotations
 
@@ -54,6 +55,12 @@ def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
     while (snr_db := start_db + len(points) * step_db) <= stop_db + 1e-9:
         points.append(snr_db)
     return points
+
+
+def check_seed(seed: int):
+    """Raise ValueError unless the master seed is >= 0; SeedSequence takes no negative entropy."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def derive_rng(master_seed: int, tag: int, sf: int, beta: float) -> np.random.Generator:
@@ -106,11 +113,14 @@ def run_error_trials(params: LoraParams, rf: ReductionFactor, snrs_db, trials: i
     return [(errs / trials, bits / (trials * params.sf)) for errs, bits in zip(sym_errs, biterrs)]
 
 
-def symbol_error_rate(params: LoraParams, rf: ReductionFactor, snr_db: float, trials: int,
-                      master_seed: int) -> float:
-    """Symbol error rate over `trials` random symbols on the calibration stream; deterministic given the seed."""
-    [(ser, _)] = run_error_trials(params, rf, [snr_db], trials, master_seed, TAG_CALIBRATION)
-    return ser
+def symbol_error_rate(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int,
+                      master_seed: int) -> list[float]:
+    """One symbol error rate per SNR in snrs_db over `trials` random symbols on the calibration stream.
+
+    Every SNR point scales the same noise draw, so each rate depends only on
+    the seed and its own SNR, not on which other points share the call.
+    """
+    return [ser for ser, _ in run_error_trials(params, rf, snrs_db, trials, master_seed, TAG_CALIBRATION)]
 
 
 def peak_statistics(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int,

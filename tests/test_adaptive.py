@@ -20,7 +20,7 @@ SF7 = LoraParams(sf=7, bw=125e3)
 
 def table_from(required_by_beta, sf=7, **kwargs):
     entries = {(sf, beta): req for beta, req in required_by_beta.items()}
-    defaults = dict(target_ser=1e-3, trials=1000, seed=0)
+    defaults = dict(target_ser=1e-3, trials=10_000, seed=0)
     defaults.update(kwargs)
     return ThresholdTable(entries=entries, **defaults)
 
@@ -34,7 +34,7 @@ def random_monotone_table(rng, sfs=(7, 8, 9)):
         for beta in sorted(BETA_TABLE, reverse=True):  # 1.0 first, lowest requirement
             entries[(sf, beta)] = req
             req += rng.uniform(0.0, 2.0)
-    return ThresholdTable(entries=entries, target_ser=1e-3, trials=1000, seed=0)
+    return ThresholdTable(entries=entries, target_ser=1e-3, trials=10_000, seed=0)
 
 
 class TestLinkHistory:
@@ -56,6 +56,11 @@ class TestLinkHistory:
             record_packet(history, value)
             kept.append(float(value))
             assert history.min_snr_db() == min(kept[-7:])
+
+    @pytest.mark.parametrize("capacity", [0, -2])
+    def test_capacity_below_one_raises(self, capacity):
+        with pytest.raises(ValueError, match=f"capacity must be >= 1, got {capacity}"):
+            LinkHistory(capacity=capacity)
 
     def test_empty_min_raises(self):
         with pytest.raises(ValueError):
@@ -154,7 +159,17 @@ class TestThresholdTable:
     def test_validate_rejects_sf_inversion(self):
         entries = {(7, 1.0): -9.0, (8, 1.0): -7.0}
         with pytest.raises(ValueError):
-            ThresholdTable(entries=entries, target_ser=1e-3, trials=10, seed=0).validate()
+            ThresholdTable(entries=entries, target_ser=1e-3, trials=10_000, seed=0).validate()
+
+    @pytest.mark.parametrize("trials", [9999, -5])
+    def test_validate_rejects_too_few_trials(self, trials):
+        # calibrate_thresholds needs 10 / target_ser trials, so no calibration wrote this table
+        with pytest.raises(ValueError, match=f"need at least 10000 trials to resolve SER 0.001, got {trials}"):
+            table_from({1.0: -7.5, 0.5: -4.5}, trials=trials).validate()
+
+    def test_validate_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            table_from({1.0: -7.5, 0.5: -4.5}, seed=-3).validate()
 
     def test_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -172,6 +187,10 @@ class TestCalibration:
     def test_rejects_insufficient_trials(self):
         with pytest.raises(ValueError):
             calibrate_thresholds([SF7], target_ser=1e-3, trials=100, seed=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            calibrate_thresholds([SF7], target_ser=1e-2, trials=2000, seed=-1)
 
     def test_deterministic_and_monotone_small_config(self):
         kwargs = dict(betas=(1.0, 0.75, 0.5), target_ser=1e-2, trials=2000, seed=9)
@@ -198,6 +217,26 @@ class TestCalibration:
         monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: probes.append(args[2]) or probe(*args))
         assert adaptive._required_snr(params, rf, target_ser, trials, seed) == expected
         assert len(probes) <= math.ceil(math.log2(len(grid) + 1)) == 7
+
+    def test_two_pass_search_finds_every_step(self, monkeypatch):
+        # a step SER that passes from grid index first on; first = len(grid) never passes
+        grid = snr_grid(adaptive.SNR_SEARCH_MIN_DB, adaptive.SNR_SEARCH_MAX_DB, adaptive.SNR_SEARCH_STEP_DB)
+        assert len(grid) == 71
+        for first in range(len(grid) + 1):
+            passes = []
+
+            def step_ser(params, rf, snrs_db, trials, seed):
+                passes.append(list(snrs_db))
+                return [0.0 if grid.index(snr_db) >= first else 1.0 for snr_db in snrs_db]
+
+            monkeypatch.setattr(adaptive, "symbol_error_rate", step_ser)
+            if first == len(grid):
+                with pytest.raises(CalibrationError):
+                    adaptive._required_snr(SF7, ReductionFactor(1.0), 1e-2, 2000, 0)
+            else:
+                assert adaptive._required_snr(SF7, ReductionFactor(1.0), 1e-2, 2000, 0) == grid[first]
+            assert len(passes) <= 2, first
+            assert sum(map(len, passes)) <= 17, first
 
     def test_unreachable_target_raises(self, monkeypatch):
         monkeypatch.setattr(adaptive, "SNR_SEARCH_MAX_DB", -25.0)

@@ -333,6 +333,18 @@ class TestCalibrateSelect:
         assert code == 0
         assert out.strip() == "beta=0.5 index=4"
 
+    @pytest.mark.parametrize("command", ["ber-sweep", "peak-experiment", "calibrate"])
+    def test_negative_seed_message_names_the_seed(self, tmp_path, capsys, command):
+        code, _, err = run(capsys, command, "--seed", -1, "--out", tmp_path / "x.csv")
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("capacity", [0, -2])
+    def test_select_capacity_below_one(self, tmp_path, capsys, capacity):
+        code, out, err = self.select(tmp_path, capsys, "-1.0\n", self.GOOD, "--capacity", capacity)
+        assert code == 1 and out == ""
+        assert err == f"error: link history capacity must be >= 1, got {capacity}\n"
+
     @pytest.mark.parametrize("stream, code", [("1", 1), (None, 0)])
     def test_select_checks_table_stream(self, tmp_path, capsys, stream, code):
         # a stream-1 table was calibrated on other noise; a table without the column is read as current
@@ -371,6 +383,8 @@ def malformed_inputs(tmp_path_factory):
     write_table(root / "sf_99.csv", good + [(99, 1.0, -20.0, *good[0][3:])])
     write_table(root / "nan_target.csv", [(*good[0][:3], "nan", *good[0][4:])])
     write_table(root / "target_1.5.csv", [(*good[0][:3], 1.5, *good[0][4:])])
+    write_table(root / "trials_-5.csv", [(*row[:4], -5, *row[5:]) for row in good])
+    write_table(root / "seed_-3.csv", [(*row[:5], -3, *row[6:]) for row in good])
     (root / "history.txt").write_text("-1.0\n")
     (root / "bad_history.txt").write_text("-1.0\nloud\n")
     (root / "nan_first.txt").write_text("nan\n10\n")
@@ -404,6 +418,7 @@ MALFORMED_ARGV = [
     ("peak-experiment --snr-step 0 --out {d}/x.csv", 1),
     ("peak-experiment --betas 0.9 --out {d}/x.csv", 1),
     ("peak-experiment --betas= --out {d}/x.csv", 1),
+    ("peak-experiment --seed -1 --out {d}/x.csv", 1),
     ("ber-sweep --snr-stop inf --out {d}/x.csv", 1),
     ("ber-sweep --snr-step nan --out {d}/x.csv", 1),
     ("ber-sweep --snr-start 1 --snr-stop 0 --out {d}/x.csv", 1),
@@ -411,6 +426,7 @@ MALFORMED_ARGV = [
     ("ber-sweep --sf 7,x --out {d}/x.csv", 1),
     ("ber-sweep --sf= --out {d}/x.csv", 1),
     ("ber-sweep --out {d}/absent/x.csv --snr 300", 1),
+    ("ber-sweep --seed -1 --out {d}/x.csv", 1),
     ("calibrate --target-ser 0 --out {d}/x.csv", 1),
     ("calibrate --target-ser -0.5 --out {d}/x.csv", 1),
     ("calibrate --target-ser 1.5 --out {d}/x.csv", 1),
@@ -418,6 +434,7 @@ MALFORMED_ARGV = [
     ("calibrate --trials 10 --out {d}/x.csv", 1),
     ("calibrate --betas 0.9 --out {d}/x.csv", 1),
     ("calibrate --betas= --out {d}/x.csv", 1),
+    ("calibrate --seed -1 --out {d}/x.csv", 1),
     ("calibrate --out", 2),
     ("select --table {d}/dup.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/no_beta1.csv --in {d}/history.txt --sf 7", 1),
@@ -427,6 +444,8 @@ MALFORMED_ARGV = [
     ("select --table {d}/sf_99.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/nan_target.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/target_1.5.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/trials_-5.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/seed_-3.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/bad_history.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/nan_first.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/nan_last.txt --sf 7", 1),

@@ -35,6 +35,7 @@ class TestExperimentConfig:
         dict(snr_stop_db=float("inf")),
         dict(snr_start_db=float("nan")),
         dict(snr_step_db=float("nan")),
+        dict(seed=-1),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chirplab.chirps import LoraParams, ReductionFactor
-from chirplab.montecarlo import peak_statistics, run_error_trials
+from chirplab.montecarlo import TAG_CALIBRATION, peak_statistics, run_error_trials, symbol_error_rate
 
 from oracles import analytic_ser, gathered_trials
 
@@ -49,3 +49,12 @@ def test_mean_peak_matches_gathered_engine():
     _, peaks = gathered_trials(params, rf, snr_db, trials, np.random.default_rng(2))
     z = (mean_peak - peaks.mean()) / (peaks.std() * np.sqrt(2 / trials))
     assert abs(z) <= Z_999, (mean_peak, peaks.mean())
+
+
+def test_symbol_error_rate_per_point_ignores_its_companions():
+    # calibration scores a block of grid points per pass; each SER must equal that point scored alone
+    params, rf, snrs, trials = LoraParams(sf=7, bw=125e3), ReductionFactor(0.75), [-9.0, -7.5, -6.0], 3000
+    sers = symbol_error_rate(params, rf, snrs, trials, 4)
+    assert sers == [symbol_error_rate(params, rf, [snr_db], trials, 4)[0] for snr_db in snrs]
+    assert sers == [ser for ser, _ in run_error_trials(params, rf, snrs, trials, 4, TAG_CALIBRATION)]
+    assert sers[0] > sers[-1]
