@@ -14,8 +14,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+from .channel import check_seed
 from .chirps import BETA_TABLE, SPREADING_FACTORS, LoraParams, ReductionFactor
-from .montecarlo import STREAM_VERSION, check_seed, snr_grid, symbol_error_rate
+from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate
 
 DEFAULT_TARGET_SER = 1e-3
 DEFAULT_SAFETY_MARGIN_DB = 2.0

@@ -17,11 +17,17 @@ from .chirps import IqBuffer
 from .modem import DemodResult
 
 
+def check_seed(seed: int):
+    """Raise ValueError unless the seed is >= 0; SeedSequence takes no negative entropy."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Per-sample SNR in dB plus the seed that fully determines the noise.
 
-    snr_db = inf means noiseless; NaN raises ValueError.
+    snr_db = inf means noiseless; NaN or a negative seed raises ValueError.
     """
 
     snr_db: float
@@ -30,6 +36,7 @@ class ChannelConfig:
     def __post_init__(self):
         if math.isnan(self.snr_db):
             raise ValueError("channel SNR must be a number, got NaN")
+        check_seed(self.seed)
 
 
 def add_noise(samples: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:

@@ -17,7 +17,6 @@ from .chirps import (
     LoraParams,
     ReductionFactor,
     base_downchirp,
-    base_upchirp,
     instantaneous_frequency,
     shifted_upchirp,
     truncate,
@@ -72,7 +71,7 @@ def cmd_chirp(args) -> int:
     if args.down:
         buf = base_downchirp(params)
     else:
-        buf = shifted_upchirp(params, args.symbol) if args.symbol else base_upchirp(params)
+        buf = shifted_upchirp(params, args.symbol)
     rf = ReductionFactor(args.beta)
     buf = truncate(buf, rf, params)
     iqfile.write_iq(args.out, buf, {"sf": params.sf, "bw": params.bw, "beta": rf.beta})

@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+from .channel import check_seed
 from .chirps import BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import STREAM_VERSION, check_seed, peak_statistics, run_error_trials, snr_grid
+from .montecarlo import STREAM_VERSION, peak_statistics, run_error_trials, snr_grid
 
 PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed", "stream")
 PEAK_BINS_CSV_COLUMNS = ("sf", "beta", "snr_db", "bin", "magnitude")

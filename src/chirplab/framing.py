@@ -165,39 +165,23 @@ def _screen_windows(samples: np.ndarray, n: int) -> np.ndarray:
     return passing & (held[n: len(padded)] == held[: blocks * n]).reshape(blocks, n)
 
 
-def _first_run(samples: np.ndarray, params: LoraParams, align: int, need: int, peak_ratio: float):
-    """Start of the earliest run of need consecutive hits at one alignment, or None."""
-    n = params.n
-    count = (len(samples) - align) // n
-    windows = samples[align: align + count * n].reshape(count, n)
-    # a window holding a NaN or infinite sample gets a NaN ratio, never a hit
-    with np.errstate(invalid="ignore"):
-        bins, peaks, floors = _peak_and_floor(_window_spectra(windows, params))
-        hit = (bins == 0) & (peaks / np.maximum(floors, NOISE_FLOOR_MIN) >= peak_ratio)
-    run = 0
-    for i, ok in enumerate(hit):
-        run = run + 1 if ok else 0
-        if run >= need:
-            return align + (i - run + 1) * n
-    return None
-
-
 def detect_preamble(buf: IqBuffer, params: LoraParams,
-                    preamble_len: int = DEFAULT_PREAMBLE_LEN,
-                    peak_ratio: float = PREAMBLE_PEAK_RATIO) -> int:
+                    preamble_len: int = DEFAULT_PREAMBLE_LEN) -> int:
     """Locate the preamble start to integer-sample alignment.
 
     Looks, over every alignment in [0, n), for at least preamble_len - 1
     consecutive full-symbol windows (whole-symbol steps apart) whose dechirped
     spectrum peaks at bin 0 with a peak-over-floor ratio of at least
-    peak_ratio. Returns the sample offset where the earliest qualifying run
-    begins; raises PreambleNotFoundError when nothing qualifies.
+    PREAMBLE_PEAK_RATIO. Returns the sample offset where the earliest
+    qualifying run begins; raises PreambleNotFoundError when nothing qualifies.
 
     A screen over every start sample (see _screen_windows) rules out the
-    windows that cannot be hits, and only the alignments with a run of
-    preamble_len - 1 passing windows get the exact spectral check. As every
-    hit passes the screen, the result equals that of checking all n
-    alignments.
+    windows that cannot be hits. The rows of its grid are taken in order, and
+    the windows of every run of preamble_len - 1 passing windows that starts
+    in a row get one batched spectral check (split only past 2 MB); the
+    earliest start whose windows are all hits is the result. As every hit
+    passes the screen and every start in an earlier row is an earlier sample,
+    it equals that of checking all n alignments.
     """
     _check_preamble_len(preamble_len)
     n = params.n
@@ -208,19 +192,23 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     runs = np.zeros((len(grid) + 1, n), dtype=np.intp)
     np.cumsum(grid, axis=0, out=runs[1:])
     qualifies = (runs[need:] - runs[:-need]) == need
-    aligns = np.flatnonzero(qualifies.any(axis=0))
-    # no run at an alignment can start before its first passing run
-    earliest = aligns + qualifies[:, aligns].argmax(axis=0) * n
-    best = None
-    for bound, align in sorted(zip(earliest.tolist(), aligns.tolist())):
-        if best is not None and bound >= best:
-            break
-        start = _first_run(buf.samples, params, align, need, peak_ratio)
-        if start is not None and (best is None or start < best):
-            best = start
-    if best is None:
-        raise PreambleNotFoundError("no preamble run found above the peak-ratio threshold")
-    return best
+    # a run starting at s holds the samples [s, s + need n); the grid holds no
+    # start past len - n, so every gathered run lies in the buffer
+    span = np.arange(need * n)
+    # at most 2**17 samples (2 MB) per check: on noise about 40% of starts pass
+    # the screen, so a row of one-window runs can hold nearly n of them
+    block = max(1, (1 << 17) // (need * n))
+    for row in np.flatnonzero(qualifies.any(axis=1)):
+        candidates = row * n + np.flatnonzero(qualifies[row])
+        for lo in range(0, len(candidates), block):
+            starts = candidates[lo: lo + block]
+            run_windows = buf.samples[starts[:, None] + span].reshape(-1, n)
+            bins, peaks, floors = _peak_and_floor(_window_spectra(run_windows, params))
+            hit = (bins == 0) & (peaks / np.maximum(floors, NOISE_FLOOR_MIN) >= PREAMBLE_PEAK_RATIO)
+            complete = hit.reshape(len(starts), need).all(axis=1)
+            if complete.any():
+                return int(starts[complete.argmax()])
+    raise PreambleNotFoundError("no preamble run found above the peak-ratio threshold")
 
 
 def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,

@@ -57,12 +57,6 @@ def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
     return points
 
 
-def check_seed(seed: int):
-    """Raise ValueError unless the master seed is >= 0; SeedSequence takes no negative entropy."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-
-
 def derive_rng(master_seed: int, tag: int, sf: int, beta: float) -> np.random.Generator:
     """Philox generator for one (sf, beta) evaluation under a master seed and stream tag."""
     entropy = [int(master_seed), int(tag), int(sf), round(beta * 1000)]

@@ -176,6 +176,15 @@ class TestFrameCommands:
             assert code == 0
             assert out.splitlines()[0] == "99 3 77"
 
+    def test_negative_seed_message_names_the_seed(self, tmp_path, capsys):
+        path = tmp_path / "frame.cf32"
+        code, _, err = run(capsys, "frame-encode", "--sf", 7, "--payload", 1, "--snr", 0, "--seed", -1, "--out", path)
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+        # without a channel the seed is unused
+        code, _, _ = run(capsys, "frame-encode", "--sf", 7, "--payload", 1, "--seed", -1, "--out", path)
+        assert code == 0
+
     @pytest.mark.parametrize("missing", ["sf", "bw"])
     def test_sidecar_missing_key_exit_code(self, tmp_path, capsys, missing):
         path = tmp_path / "frame.cf32"
@@ -409,6 +418,7 @@ MALFORMED_ARGV = [
     ("toa --sf 7", 2),
     ("frame-encode --sf 7 --payload 1 --preamble-len 0 --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr nan --out {d}/x.cf32", 1),
+    ("frame-encode --sf 7 --payload 1 --snr 0 --seed -1 --out {d}/x.cf32", 1),
     ("frame-decode --in {d}/frame.cf32 --preamble-len -3", 1),
     ("frame-decode --in {d}/frame.cf32 --preamble-len -8", 1),
     ("frame-decode --in {d}/v9.cf32", 3),

@@ -1,8 +1,10 @@
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
+from chirplab import framing
 from chirplab.channel import ChannelConfig, awgn
 from chirplab.chirps import (
     BETA_TABLE,
@@ -24,7 +26,7 @@ from chirplab.framing import (
     time_on_air,
     time_saving,
 )
-from chirplab.modem import LengthMismatchError, modulate
+from chirplab.modem import LengthMismatchError, _window_spectra, modulate
 
 from oracles import exhaustive_detect_preamble
 
@@ -120,10 +122,31 @@ class TestDetectPreamble:
         noisy = awgn(clean, ChannelConfig(snr_db=-15.0, seed=12))
         assert detect_preamble(noisy, params) == lead
 
+    @pytest.mark.parametrize("sf", [7, 9])
+    def test_noiseless_frames_check_few_windows(self, sf, monkeypatch):
+        # the windows of at most three candidate runs reach the spectral check
+        checked = []
 
-def sync_result(detect, samples, params, preamble_len, peak_ratio=4.0):
+        def counting_spectra(windows, params):
+            checked.append(len(windows))
+            return _window_spectra(windows, params)
+
+        monkeypatch.setattr(framing, "_window_spectra", counting_spectra)
+        params = LoraParams(sf=sf, bw=125e3)
+        n = params.n
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            spec = FrameSpec(payload=tuple(int(s) for s in rng.integers(0, n, 120)), rf=ReductionFactor(0.5))
+            lead = int(rng.integers(0, 3 * n + 1))
+            buf = IqBuffer(np.concatenate([np.zeros(lead, dtype=complex), build_frame(spec, params).samples]), params.bw)
+            checked.clear()
+            assert detect_preamble(buf, params) == lead
+            assert sum(checked) <= 3 * (spec.preamble_len - 1)
+
+
+def sync_result(detect, samples, params, preamble_len):
     try:
-        return detect(IqBuffer(samples, params.bw), params, preamble_len, peak_ratio)
+        return detect(IqBuffer(samples, params.bw), params, preamble_len)
     except PreambleNotFoundError:
         return None
 
@@ -135,11 +158,15 @@ class TestScreenedSyncIsExact:
     """
 
     @staticmethod
-    def random_capture(rng, sf, snr_db=None):
-        """(params, preamble_len, preamble start, samples) of one frame after a zero lead-in of 0..3n."""
+    def random_capture(rng, sf, snr_db=None, preamble_len=None):
+        """(params, preamble_len, preamble start, samples) of one frame after a zero lead-in of 0..3n.
+
+        preamble_len is drawn from 6..11 unless given.
+        """
         params = LoraParams(sf=sf, bw=125e3)
         n = params.n
-        preamble_len = int(rng.integers(6, 12))
+        if preamble_len is None:
+            preamble_len = int(rng.integers(6, 12))
         payload = tuple(int(s) for s in rng.integers(0, n, int(rng.integers(0, 10))))
         spec = FrameSpec(payload=payload, rf=ReductionFactor(float(rng.choice(BETA_TABLE))),
                          preamble_len=preamble_len)
@@ -149,12 +176,14 @@ class TestScreenedSyncIsExact:
             buf = awgn(buf, ChannelConfig(snr_db=snr_db, seed=int(rng.integers(1 << 30))))
         return params, preamble_len, lead, np.array(buf.samples)
 
-    def assert_exact(self, samples, params, preamble_len, peak_ratio=4.0):
+    def assert_exact(self, samples, params, preamble_len):
         # the sync must stay quiet even where a NaN or infinite sample spoils windows
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            fast = sync_result(detect_preamble, samples, params, preamble_len, peak_ratio)
-        assert fast == sync_result(exhaustive_detect_preamble, samples, params, preamble_len, peak_ratio)
+            fast = sync_result(detect_preamble, samples, params, preamble_len)
+        # the reference takes the sync's ratio, which a test may patch
+        reference = functools.partial(exhaustive_detect_preamble, peak_ratio=framing.PREAMBLE_PEAK_RATIO)
+        assert fast == sync_result(reference, samples, params, preamble_len)
         return fast
 
     @pytest.mark.parametrize("sf", [7, 8, 9])
@@ -192,10 +221,11 @@ class TestScreenedSyncIsExact:
             self.assert_exact(samples, params, preamble_len)
 
     @pytest.mark.parametrize("sf", [7, 8])
-    def test_flat_spectra_at_the_screen_bound(self, sf):
+    def test_flat_spectra_at_the_screen_bound(self, sf, monkeypatch):
         # A window holding one nonzero sample has a flat spectrum, so |X_0|^2
         # equals the window energy and rounding alone decides whether bin 0
-        # is the argmax; with peak_ratio 1 such windows are hits.
+        # is the argmax; with a peak ratio of 1 such windows are hits.
+        monkeypatch.setattr(framing, "PREAMBLE_PEAK_RATIO", 1.0)
         rng = np.random.default_rng(500 + sf)
         params = LoraParams(sf=sf, bw=125e3)
         n = params.n
@@ -205,7 +235,7 @@ class TestScreenedSyncIsExact:
             where = np.arange(0, len(samples), n) + rng.integers(0, n, 16)
             samples[where] = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             for preamble_len in (2, 3, 4):
-                offsets.append(self.assert_exact(samples, params, preamble_len, 1.0))
+                offsets.append(self.assert_exact(samples, params, preamble_len))
         assert any(o is not None for o in offsets)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
@@ -220,6 +250,31 @@ class TestScreenedSyncIsExact:
                 spoiled = samples.copy()
                 spoiled[where] = bad
                 self.assert_exact(spoiled, params, preamble_len)
+
+    @pytest.mark.parametrize("preamble_len", [1, 2])
+    def test_one_window_runs(self, preamble_len):
+        # a run is one window, so every screened window is a candidate; at sf 10
+        # a noisy row holds more of them than one spectral check takes
+        rng = np.random.default_rng(600 + preamble_len)
+        for sf in (7, 8, 9, 10):
+            for snr_db in (-10.0 - 3.0 * (sf - 7), 0.0, None):
+                params, _, _, samples = self.random_capture(rng, sf, snr_db, preamble_len)
+                self.assert_exact(samples, params, preamble_len)
+            size = int(rng.integers(params.n, 12 * params.n))
+            self.assert_exact(rng.standard_normal(size) + 1j * rng.standard_normal(size), params, preamble_len)
+
+    @pytest.mark.parametrize("snr_db", [0.0, None])
+    def test_captures_cut_inside_or_right_after_the_preamble(self, snr_db):
+        rng = np.random.default_rng(700 if snr_db is None else 701)
+        for sf in (7, 8, 9):
+            params, preamble_len, lead, samples = self.random_capture(rng, sf, snr_db)
+            n = params.n
+            # cut right after the last upchirp; where the first run of
+            # preamble_len - 1 upchirps ends, so that its last window ends at the
+            # buffer's last sample; one sample short of that; inside the run
+            for end in (lead + preamble_len * n, lead + (preamble_len - 1) * n,
+                        lead + (preamble_len - 1) * n - 1, lead + int(rng.integers(n, (preamble_len - 1) * n))):
+                self.assert_exact(samples[:end], params, preamble_len)
 
 
 class TestDecodeFrame:
