@@ -12,7 +12,9 @@ import sys
 
 from . import adaptive, channel, framing, iqfile, modem
 from .chirps import (
+    BANDWIDTHS_HZ,
     BETA_TABLE,
+    SPREADING_FACTORS,
     IqBuffer,
     LoraParams,
     ReductionFactor,
@@ -90,19 +92,44 @@ def cmd_mod(args) -> int:
     return 0
 
 
+# sidecar keys a decode reads: (parse, the values a capture can carry)
+_SIDECAR_VALUES = {
+    "sf": (int, SPREADING_FACTORS.__contains__),
+    "bw": (float, BANDWIDTHS_HZ.__contains__),
+    "beta": (float, BETA_TABLE.__contains__),
+    "preamble_len": (int, lambda value: value >= 1),
+}
+
+
+def _sidecar_value(meta: dict, key: str, default=None):
+    """meta[key] parsed, or default when the key is absent.
+
+    Raises IqFormatError naming the key when it is missing without a default,
+    is not a number, or holds a value that no capture can carry.
+    """
+    if key not in meta:
+        if default is None:
+            raise iqfile.IqFormatError(f"sidecar missing key '{key}'")
+        return default
+    parse, possible = _SIDECAR_VALUES[key]
+    try:
+        value = parse(meta[key])
+    except ValueError:
+        value = None
+    if value is None or not possible(value):
+        raise iqfile.IqFormatError(f"sidecar {key}={meta[key]} is not a value a capture can carry")
+    return value
+
+
 def _load_capture(args, need_beta=False):
-    """Read a capture and its sidecar; flags override sidecar values.
+    """Read a capture and its sidecar; the sf and beta flags override sidecar values.
 
     Returns (buffer, params, beta or None, sidecar dict).
     """
     meta = iqfile.read_sidecar(args.in_path)
-    try:
-        sf = args.sf if args.sf else int(meta["sf"])
-        bw = args.bw if args.bw else float(meta["bw"])
-        beta = (args.beta if args.beta else float(meta["beta"])) if need_beta else None
-    except KeyError as exc:
-        raise iqfile.IqFormatError(f"sidecar missing key {exc}") from None
-    params = LoraParams(sf=sf, bw=bw)
+    sf = args.sf if args.sf else _sidecar_value(meta, "sf")
+    beta = (args.beta if args.beta else _sidecar_value(meta, "beta")) if need_beta else None
+    params = LoraParams(sf=sf, bw=_sidecar_value(meta, "bw"))
     return iqfile.read_iq(args.in_path, params.bw), params, beta, meta
 
 
@@ -150,7 +177,7 @@ def cmd_frame_encode(args) -> int:
 
 def cmd_frame_decode(args) -> int:
     buf, params, _, meta = _load_capture(args)
-    preamble_len = args.preamble_len if args.preamble_len else int(meta.get("preamble_len", framing.DEFAULT_PREAMBLE_LEN))
+    preamble_len = args.preamble_len or _sidecar_value(meta, "preamble_len", framing.DEFAULT_PREAMBLE_LEN)
     offset = framing.detect_preamble(buf, params, preamble_len)
     payload, rf, diag = framing.decode_frame(buf, offset, params, preamble_len)
     print(" ".join(str(s) for s in payload))
@@ -168,7 +195,7 @@ def _experiment_config(args) -> ExperimentConfig:
         sf_list=_parse_list(args.sf_list, int),
         beta_list=_parse_list(args.betas, float),
         snr_start_db=start, snr_stop_db=stop, snr_step_db=args.snr_step,
-        trials=args.trials, seed=args.seed, bw=args.bw,
+        trials=args.trials, seed=args.seed,
         out_csv=args.out, bins_csv=getattr(args, "bins_out", "") or "",
     )
 
@@ -184,7 +211,7 @@ def cmd_ber_sweep(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    params_set = [LoraParams(sf=sf, bw=args.bw) for sf in _parse_list(args.sf_list, int)]
+    params_set = [LoraParams(sf=sf, bw=BANDWIDTHS_HZ[0]) for sf in _parse_list(args.sf_list, int)]
     table = adaptive.calibrate_thresholds(
         params_set,
         betas=_parse_list(args.betas, float),
@@ -214,15 +241,14 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _add_params_flags(sub, bw_default=125_000.0):
+def _add_params_flags(sub):
     sub.add_argument("--sf", type=int, required=True, help="spreading factor (7..12)")
-    sub.add_argument("--bw", type=float, default=bw_default, help="bandwidth in Hz")
+    sub.add_argument("--bw", type=float, default=BANDWIDTHS_HZ[0], help="bandwidth in Hz")
 
 
 def _add_grid_flags(sub, trials: int):
     """The (sf, beta) grid, trial count, seed and output CSV of the sweeps and calibrate."""
     sub.add_argument("--sf", dest="sf_list", default="7", help="comma-separated spreading factors")
-    sub.add_argument("--bw", type=float, default=125_000.0)
     sub.add_argument("--betas", default=",".join(str(b) for b in BETA_TABLE), help="comma-separated betas")
     sub.add_argument("--trials", type=int, default=trials)
     sub.add_argument("--seed", type=int, default=0)
@@ -260,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("demod", help="decode an IQ capture of bare symbols")
     sub.add_argument("--in", dest="in_path", required=True)
     sub.add_argument("--sf", type=int, default=0, help="override sidecar sf")
-    sub.add_argument("--bw", type=float, default=0.0, help="override sidecar bw")
     sub.add_argument("--beta", type=float, default=0.0, help="override sidecar beta")
     sub.add_argument("--count", type=int, default=None, help="decode exactly this many symbols")
     sub.set_defaults(handler=cmd_demod)
@@ -285,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("frame-decode", help="synchronize and decode a frame IQ capture")
     sub.add_argument("--in", dest="in_path", required=True)
     sub.add_argument("--sf", type=int, default=0)
-    sub.add_argument("--bw", type=float, default=0.0)
     sub.add_argument("--preamble-len", type=int, default=0)
     sub.set_defaults(handler=cmd_frame_decode)
 

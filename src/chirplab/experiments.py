@@ -8,10 +8,10 @@ exactly, because each row's random stream is derived from those values alone
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .channel import check_seed
-from .chirps import BETA_TABLE, LoraParams, ReductionFactor
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor
 from .montecarlo import STREAM_VERSION, peak_statistics, run_error_trials, snr_grid
 
 PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed", "stream")
@@ -30,7 +30,6 @@ class ExperimentConfig:
     snr_step_db: float = 0.5
     trials: int = 1000
     seed: int = 0
-    bw: float = 125_000.0
     out_csv: str = ""
     bins_csv: str = ""
 
@@ -70,7 +69,7 @@ def run_peak_experiment(cfg: ExperimentConfig) -> list[dict]:
     bins_rows = []
     snrs = cfg.snr_values()
     for sf in cfg.sf_list:
-        params = LoraParams(sf=sf, bw=cfg.bw)
+        params = LoraParams(sf=sf, bw=BANDWIDTHS_HZ[0])
         stats = {beta: peak_statistics(params, ReductionFactor(beta), snrs, cfg.trials, cfg.seed)
                  for beta in dict.fromkeys((1.0,) + cfg.beta_list)}
         for i, snr_db in enumerate(snrs):
@@ -83,9 +82,8 @@ def run_peak_experiment(cfg: ExperimentConfig) -> list[dict]:
                     "mean_peak_ratio_vs_beta1": mean_peak / baseline,
                     "trials": cfg.trials, "seed": cfg.seed, "stream": STREAM_VERSION,
                 })
-                bins_rows.extend(
-                    (sf, beta, snr_db, idx, float(mag)) for idx, mag in enumerate(bins)
-                )
+                if cfg.bins_csv:
+                    bins_rows.extend((sf, beta, snr_db, idx, float(mag)) for idx, mag in enumerate(bins))
     if cfg.out_csv:
         _write_rows(cfg.out_csv, PEAK_CSV_COLUMNS, ([r[c] for c in PEAK_CSV_COLUMNS] for r in rows))
     if cfg.bins_csv:
@@ -98,7 +96,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     snrs = cfg.snr_values()
     for sf in cfg.sf_list:
-        params = LoraParams(sf=sf, bw=cfg.bw)
+        params = LoraParams(sf=sf, bw=BANDWIDTHS_HZ[0])
         for beta in cfg.beta_list:
             results = run_error_trials(params, ReductionFactor(beta), snrs, cfg.trials, cfg.seed)
             for snr_db, (ser, ber) in zip(snrs, results):

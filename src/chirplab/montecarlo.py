@@ -8,6 +8,10 @@ argmax bin, it errs when e != 0, and a sent symbol k is decided as
 (k + e) mod n. The mean peak is rotation-invariant, and trial 0's spectrum is
 reported rotated to bin 0.
 
+The SNR is per sample over the full band at one sample per chip, so sf, beta
+and the SNR fix every result here: the bandwidth only names the sample rate,
+and any valid LoraParams bandwidth gives the same bytes.
+
 Seed splitting: every (sf, beta) evaluation under a stream tag owns an
 independent Philox stream derived from SeedSequence([master_seed, stream_tag,
 sf, beta_milli]). The SNR is not in the key: each chunk draws unit-variance
@@ -92,7 +96,7 @@ def _received(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int, mas
 
 
 def run_error_trials(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int,
-                     master_seed: int, tag: int = TAG_BER) -> list[tuple[float, float]]:
+                     master_seed: int) -> list[tuple[float, float]]:
     """Transmit random symbols through AWGN and return one (ser, ber) per SNR in snrs_db.
 
     Every SNR point scales the same noise draw. BER uses the natural-binary
@@ -100,7 +104,7 @@ def run_error_trials(params: LoraParams, rf: ReductionFactor, snrs_db, trials: i
     """
     sym_errs = [0] * len(snrs_db)
     biterrs = [0] * len(snrs_db)
-    for i, sent, mags in _received(params, rf, snrs_db, trials, master_seed, tag):
+    for i, sent, mags in _received(params, rf, snrs_db, trials, master_seed, TAG_BER):
         offset = mags.argmax(axis=1)
         sym_errs[i] += int(np.count_nonzero(offset))
         biterrs[i] += bit_errors(sent, (sent + offset) % params.n, params.sf)
@@ -114,7 +118,10 @@ def symbol_error_rate(params: LoraParams, rf: ReductionFactor, snrs_db, trials: 
     Every SNR point scales the same noise draw, so each rate depends only on
     the seed and its own SNR, not on which other points share the call.
     """
-    return [ser for ser, _ in run_error_trials(params, rf, snrs_db, trials, master_seed, TAG_CALIBRATION)]
+    sym_errs = [0] * len(snrs_db)
+    for i, _, mags in _received(params, rf, snrs_db, trials, master_seed, TAG_CALIBRATION):
+        sym_errs[i] += int(np.count_nonzero(mags.argmax(axis=1)))
+    return [errs / trials for errs in sym_errs]
 
 
 def peak_statistics(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int,

@@ -1,4 +1,5 @@
 """Independent reference implementations used to check the fast paths."""
+import math
 import warnings
 
 import numpy as np
@@ -27,17 +28,60 @@ def naive_dft_batch(rows: np.ndarray, n: int) -> np.ndarray:
     return padded @ dft_matrix(n).T
 
 
-def log_i0(z: np.ndarray) -> np.ndarray:
-    """log I0(z) for z >= 0, as z + log((1/pi) * integral over [0, pi] of exp(z (cos t - 1)) dt).
+def _half_turn(points: int = 513):
+    """Nodes on [0, pi] and trapezoid weights that average over them.
 
-    The integrand is at most 1, so nothing overflows, and the trapezoid rule
-    is spectrally accurate for a smooth periodic integrand.
+    The trapezoid rule is spectrally accurate for a smooth periodic integrand,
+    and every integrand here is a smooth even function of cos t.
     """
-    points = 513
     t = np.linspace(0.0, np.pi, points)
     weights = np.full(points, 1.0 / (points - 1))
     weights[[0, -1]] /= 2
+    return t, weights
+
+
+def log_i0(z: np.ndarray) -> np.ndarray:
+    """log I0(z) for z >= 0, as z + log((1/pi) * integral over [0, pi] of exp(z (cos t - 1)) dt).
+
+    The integrand is at most 1, so nothing overflows.
+    """
+    t, weights = _half_turn()
     return z + np.log(np.exp(np.multiply.outer(z, np.cos(t) - 1.0)) @ weights)
+
+
+def marcum_q1(a, b) -> np.ndarray:
+    """Marcum Q1(a, b) for 0 <= a < b, elementwise.
+
+    With z = a / b and d(t) = 1 - 2 z cos t + z^2, Q1(a, b) is
+    (1/pi) * integral over [0, pi] of (1 - z cos t) / d(t) exp(-b^2 d(t) / 2) dt
+    (Simon & Alouini, Digital Communication over Fading Channels, 4.2).
+    """
+    t, weights = _half_turn()
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    z = a / b
+    d = 1.0 - 2.0 * z * np.cos(t) + z * z
+    return ((1.0 - z * np.cos(t)) / d * np.exp(-b * b * d / 2.0)) @ weights
+
+
+def _orthogonal_ser(bins: int, es_n0: float) -> float:
+    """Error rate of noncoherent detection among `bins` orthogonal signals at symbol energy over N0 es_n0.
+
+    With unit noise variance per component, the sent bin holds amplitude
+    a = sqrt(2 es_n0), its magnitude r has density r exp(-(r^2 + a^2) / 2) I0(a r),
+    and the decision is wrong unless all bins - 1 noise magnitudes fall below
+    r: SER = integral of that density times 1 - (1 - exp(-r^2 / 2))^(bins - 1) dr.
+    """
+    a = np.sqrt(2.0 * es_n0)
+    points = 4001
+    # Simpson's rule (points odd) on [0, a + 12]; the tail past a + 12 is below 1e-30, and
+    # at r = 0 the integrand is 0 (the density holds a factor r)
+    r, step = np.linspace(0.0, a + 12.0, points, retstep=True)
+    r = r[1:]
+    density = np.exp(np.log(r) - (r * r + a * a) / 2.0 + log_i0(a * r))
+    wrong = -np.expm1((bins - 1) * np.log1p(-np.exp(-r * r / 2.0)))
+    weights = np.tile([4.0, 2.0], points // 2)
+    weights[-1] = 1.0
+    return float(step / 3.0 * (weights @ (density * wrong)))
 
 
 def analytic_ser(sf: int, snr_db: float) -> float:
@@ -45,24 +89,46 @@ def analytic_ser(sf: int, snr_db: float) -> float:
 
     At beta = 1 the n dechirped bins are independent: the correct bin is
     Rician and the other n - 1 are Rayleigh, that is noncoherent orthogonal
-    n-ary detection (Vangelista, IEEE SPL 2017). With unit noise variance per
-    component, a unit-power chirp puts amplitude a = sqrt(2 n 10^(snr/10)) in
-    its bin, whose magnitude r has density r exp(-(r^2 + a^2) / 2) I0(a r), and
-    the decision is wrong unless all n - 1 noise magnitudes fall below r:
-    SER = integral of that density times 1 - (1 - exp(-r^2 / 2))^(n - 1) dr.
+    n-ary detection (Vangelista, IEEE SPL 2017) at es_n0 = n 10^(snr/10).
     """
     n = 1 << sf
-    a = np.sqrt(2.0 * n * 10.0 ** (snr_db / 10.0))
-    points = 4001
-    # Simpson's rule (points odd) on [0, a + 12]; the tail past a + 12 is below 1e-30, and
-    # at r = 0 the integrand is 0 (the density holds a factor r)
-    r, step = np.linspace(0.0, a + 12.0, points, retstep=True)
-    r = r[1:]
-    density = np.exp(np.log(r) - (r * r + a * a) / 2.0 + log_i0(a * r))
-    wrong = -np.expm1((n - 1) * np.log1p(-np.exp(-r * r / 2.0)))
-    weights = np.tile([4.0, 2.0], points // 2)
-    weights[-1] = 1.0
-    return float(step / 3.0 * (weights @ (density * wrong)))
+    return _orthogonal_ser(n, n * 10.0 ** (snr_db / 10.0))
+
+
+def union_bound_ser(sf: int, beta: float, snr_db: float) -> float:
+    """Union upper bound on the symbol error rate of dechirp-and-argmax detection of m = beta n samples.
+
+    Dechirped symbol 0 is m ones, zero-padded to n; it leaks into bin k with
+    the correlation rho_k = (1/m) sum over j < m of exp(-2 pi i j k / n), and
+    the noise of bins 0 and k has the same correlation (Elshabrawy & Robert,
+    IEEE Comm. Letters 2018, on truncated-symbol leakage). So bin k beats
+    bin 0 with the noncoherent error of two correlated equal-energy signals
+    (Proakis, Digital Communications, 5.4) at es_n0 = g = m 10^(snr/10):
+    Q1(a, b) - exp(-(a^2 + b^2) / 2) I0(a b) / 2, with
+    a, b = sqrt(g / 2 (1 -+ sqrt(1 - |rho_k|^2))). The bound sums it over k != 0.
+    """
+    n = 1 << sf
+    m = round(beta * n)
+    es_n0 = m * 10.0 ** (snr_db / 10.0)
+    # |rho_k| = |rho_(n-k)|, and many bins share a value: score each value once
+    rho, count = np.unique(np.round(np.abs(np.fft.fft(np.ones(m), n=n)[1:]) / m, 12), return_counts=True)
+    root = np.sqrt(1.0 - rho * rho)
+    a, b = np.sqrt(es_n0 / 2.0 * (1.0 - root)), np.sqrt(es_n0 / 2.0 * (1.0 + root))
+    pairwise = marcum_q1(a, b) - 0.5 * np.exp(log_i0(a * b) - (a * a + b * b) / 2.0)
+    return float(count @ pairwise)
+
+
+def orthogonal_subset_ser(sf: int, beta: float, snr_db: float) -> float:
+    """Lower bound on the symbol error rate of dechirp-and-argmax detection of m = beta n samples.
+
+    The bins k spaced n / gcd(m, n) apart have rho_k = 0 (see union_bound_ser)
+    and independent noise, so they are gcd(m, n) orthogonal signals at
+    es_n0 = m 10^(snr/10), and detection among them errs no more often than
+    detection among all n bins.
+    """
+    n = 1 << sf
+    m = round(beta * n)
+    return _orthogonal_ser(math.gcd(m, n), m * 10.0 ** (snr_db / 10.0))
 
 
 def alias(freq_hz, fs_hz: float):

@@ -13,7 +13,7 @@ from chirplab.adaptive import (
     select_beta,
 )
 from chirplab.chirps import BETA_TABLE, LoraParams, ReductionFactor
-from chirplab.montecarlo import TAG_CALIBRATION, run_error_trials, snr_grid
+from chirplab.montecarlo import snr_grid, symbol_error_rate
 
 SF7 = LoraParams(sf=7, bw=125e3)
 
@@ -211,7 +211,7 @@ class TestCalibration:
         # streams do not depend on the SNR, so one engine call over the whole grid is the oracle
         params, rf, target_ser, trials = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta), 1e-2, 2000
         grid = snr_grid(adaptive.SNR_SEARCH_MIN_DB, adaptive.SNR_SEARCH_MAX_DB, adaptive.SNR_SEARCH_STEP_DB)
-        sers = [ser for ser, _ in run_error_trials(params, rf, grid, trials, seed, TAG_CALIBRATION)]
+        sers = symbol_error_rate(params, rf, grid, trials, seed)
         expected = next(snr for snr, ser in zip(grid, sers) if ser <= target_ser)
         probes, probe = [], adaptive.symbol_error_rate
         monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: probes.append(args[2]) or probe(*args))

@@ -49,3 +49,14 @@ def test_raw_values_and_units(parsed):
         "ber_trials_per_s.sf7": {"value": 167000.0, "unit": "trials/s"},
         "fail_ratio": {"value": 0.0217391, "unit": ""},
     }
+
+
+@pytest.mark.parametrize("label, printed, commit", [
+    ("parent@8259ab9", "27d6237", "27d6237"),  # a commit the run knew wins over the label
+    ("parent@8259ab9", "unknown", "8259ab9"),
+    ("change", "unknown", None),
+])
+def test_commit_from_env_else_label(label, printed, commit):
+    run = bench_record.parse_run(label, RUN_OUTPUT.replace(json.dumps(ENV), json.dumps({**ENV, "commit": printed})))
+    assert run["commit"] == commit
+    assert run["env"]["commit"] == printed

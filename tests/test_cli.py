@@ -7,6 +7,7 @@ from chirplab import cli, iqfile
 from chirplab.adaptive import TABLE_CSV_COLUMNS
 from chirplab.chirps import IqBuffer, LoraParams, ReductionFactor, base_upchirp, shifted_upchirp
 from chirplab.framing import FrameSpec, build_frame
+from chirplab.modem import modulate
 from chirplab.montecarlo import STREAM_VERSION
 
 SF7 = LoraParams(sf=7, bw=125e3)
@@ -382,6 +383,12 @@ def malformed_inputs(tmp_path_factory):
         iqfile.write_iq(root / f"{name}.cf32", frame, {"sf": 7, "bw": 125000.0, key: value})
     iqfile.write_iq(root / "ragged.cf32", IqBuffer(base_upchirp(SF7).samples[:100], SF7.bw),
                     {"sf": 7, "bw": 125000.0, "beta": 1.0})
+    symbols = modulate([1, 2, 3], SF7, ReductionFactor(0.5))
+    iqfile.write_iq(root / "mod.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.5})
+    # sidecar values that no capture carries, each the only fault of its capture
+    iqfile.write_iq(root / "beta_0.3.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.3})
+    for name, key, value in (("sf_abc", "sf", "abc"), ("bw_1e3", "bw", "1e3"), ("preamble_x", "preamble_len", "x")):
+        iqfile.write_iq(root / f"{name}.cf32", frame, {"sf": 7, "bw": 125000.0, "preamble_len": 8, key: value})
     good = TestCalibrateSelect.GOOD
     write_table(root / "good.csv", good)
     write_table(root / "dup.csv", good + [good[0]])
@@ -412,6 +419,9 @@ MALFORMED_ARGV = [
     ("demod --in {d}/absent.cf32", 3),
     ("demod --in {d}/cf64.cf32 --beta 1.0", 3),
     ("demod --in {d}/ragged.cf32", 4),
+    ("demod --in {d}/beta_0.3.cf32", 3),
+    ("demod --in {d}/mod.cf32 --beta 0.3", 1),
+    ("demod --in {d}/mod.cf32 --bw 250000", 2),
     ("toa --sf 7 --ns -5", 1),
     ("toa --sf 7 --ns 1 --preamble-len 0", 1),
     ("toa --sf 7 --ns 200", 1),
@@ -424,6 +434,11 @@ MALFORMED_ARGV = [
     ("frame-decode --in {d}/v9.cf32", 3),
     ("frame-decode --in {d}/cf64.cf32", 3),
     ("frame-decode --in {d}/frame.cf32 --sf 6", 1),
+    ("frame-decode --in {d}/sf_abc.cf32", 3),
+    ("frame-decode --in {d}/bw_1e3.cf32", 3),
+    ("frame-decode --in {d}/preamble_x.cf32", 3),
+    ("frame-decode --in {d}/frame.cf32 --bw 250000", 2),
+    ("peak-experiment --bw 250000 --out {d}/x.csv", 2),
     ("peak-experiment --snr-start nan --out {d}/x.csv", 1),
     ("peak-experiment --snr-step 0 --out {d}/x.csv", 1),
     ("peak-experiment --betas 0.9 --out {d}/x.csv", 1),
@@ -437,6 +452,7 @@ MALFORMED_ARGV = [
     ("ber-sweep --sf= --out {d}/x.csv", 1),
     ("ber-sweep --out {d}/absent/x.csv --snr 300", 1),
     ("ber-sweep --seed -1 --out {d}/x.csv", 1),
+    ("ber-sweep --bw 250000 --out {d}/x.csv", 2),
     ("calibrate --target-ser 0 --out {d}/x.csv", 1),
     ("calibrate --target-ser -0.5 --out {d}/x.csv", 1),
     ("calibrate --target-ser 1.5 --out {d}/x.csv", 1),
@@ -446,6 +462,7 @@ MALFORMED_ARGV = [
     ("calibrate --betas= --out {d}/x.csv", 1),
     ("calibrate --seed -1 --out {d}/x.csv", 1),
     ("calibrate --out", 2),
+    ("calibrate --bw 250000 --out {d}/x.csv", 2),
     ("select --table {d}/dup.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/no_beta1.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/absent.csv --in {d}/history.txt --sf 7", 1),

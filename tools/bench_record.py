@@ -7,7 +7,10 @@ stdout of one `python3 perfbench/run.py --workload W ...` run; a label may be
 given many times. The record is a JSON list with one line per run, in the
 order given: its label, its header (workload, seed, seconds, trace, rounds),
 its `env` line, its raw report lines (`kernel_s`, `ber_trials_per_s.*`,
-`peak_trials_per_s`, `calibrate_s`, ...) and its closing contract JSON.
+`peak_trials_per_s`, `calibrate_s`, ...), its closing contract JSON and its
+commit. The commit is `env.commit` when the run knew it, else the sha of a
+`NAME@<sha>` label, else null; a run from a plain copy of a checkout prints
+`env.commit` "unknown".
 """
 from __future__ import annotations
 
@@ -37,6 +40,8 @@ def parse_run(label: str, text: str) -> dict:
         if name not in END_TO_END:
             run["raw"][name] = {"value": number, "unit": "" if unit.startswith("(") else unit}
     run["contract"] = json.loads(lines[-1])
+    known = run.get("env", {}).get("commit", "unknown")
+    run["commit"] = known if known != "unknown" else label.partition("@")[2] or None
     return run
 
 
