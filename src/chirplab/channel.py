@@ -39,10 +39,20 @@ class ChannelConfig:
         check_seed(self.seed)
 
 
+def noise_scale(snr_db: float) -> float:
+    """Per-component noise deviation 10**(-snr_db/20) / sqrt(2); ValueError unless it is a finite number."""
+    try:
+        scale = 10.0 ** (-float(snr_db) / 20.0) / math.sqrt(2.0)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(f"SNR {snr_db} dB gives a noise scale that is not a finite number")
+    return scale
+
+
 def add_noise(samples: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndarray:
     """Add circularly-symmetric complex Gaussian noise from an existing generator."""
-    sigma = 10.0 ** (-snr_db / 20.0)
-    scale = sigma / np.sqrt(2.0)
+    scale = noise_scale(snr_db)
     noise = rng.standard_normal(samples.shape) * scale + 1j * rng.standard_normal(samples.shape) * scale
     return samples + noise
 

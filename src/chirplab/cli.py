@@ -14,7 +14,6 @@ from . import adaptive, channel, framing, iqfile, modem
 from .chirps import (
     BANDWIDTHS_HZ,
     BETA_TABLE,
-    SPREADING_FACTORS,
     IqBuffer,
     LoraParams,
     ReductionFactor,
@@ -92,50 +91,19 @@ def cmd_mod(args) -> int:
     return 0
 
 
-# sidecar keys a decode reads: (parse, the values a capture can carry)
-_SIDECAR_VALUES = {
-    "sf": (int, SPREADING_FACTORS.__contains__),
-    "bw": (float, BANDWIDTHS_HZ.__contains__),
-    "beta": (float, BETA_TABLE.__contains__),
-    "preamble_len": (int, lambda value: value >= 1),
-}
-
-
-def _sidecar_value(meta: dict, key: str, default=None):
-    """meta[key] parsed, or default when the key is absent.
-
-    Raises IqFormatError naming the key when it is missing without a default,
-    is not a number, or holds a value that no capture can carry.
-    """
-    if key not in meta:
-        if default is None:
+def _load_capture(path, *keys):
+    """(buffer, params, sidecar dict) of a capture whose sidecar must hold sf, bw and each of keys."""
+    meta = iqfile.read_sidecar(path)
+    for key in ("sf", "bw", *keys):
+        if key not in meta:
             raise iqfile.IqFormatError(f"sidecar missing key '{key}'")
-        return default
-    parse, possible = _SIDECAR_VALUES[key]
-    try:
-        value = parse(meta[key])
-    except ValueError:
-        value = None
-    if value is None or not possible(value):
-        raise iqfile.IqFormatError(f"sidecar {key}={meta[key]} is not a value a capture can carry")
-    return value
-
-
-def _load_capture(args, need_beta=False):
-    """Read a capture and its sidecar; the sf and beta flags override sidecar values.
-
-    Returns (buffer, params, beta or None, sidecar dict).
-    """
-    meta = iqfile.read_sidecar(args.in_path)
-    sf = args.sf if args.sf else _sidecar_value(meta, "sf")
-    beta = (args.beta if args.beta else _sidecar_value(meta, "beta")) if need_beta else None
-    params = LoraParams(sf=sf, bw=_sidecar_value(meta, "bw"))
-    return iqfile.read_iq(args.in_path, params.bw), params, beta, meta
+    params = LoraParams(sf=meta["sf"], bw=meta["bw"])
+    return iqfile.read_iq(path, params.bw), params, meta
 
 
 def cmd_demod(args) -> int:
-    buf, params, beta, _ = _load_capture(args, need_beta=True)
-    rf = ReductionFactor(beta)
+    buf, params, meta = _load_capture(args.in_path, "beta")
+    rf = ReductionFactor(meta["beta"])
     m = rf.m(params)
     count = args.count if args.count is not None else len(buf) // m
     if args.count is None and len(buf) % m != 0:
@@ -176,8 +144,8 @@ def cmd_frame_encode(args) -> int:
 
 
 def cmd_frame_decode(args) -> int:
-    buf, params, _, meta = _load_capture(args)
-    preamble_len = args.preamble_len or _sidecar_value(meta, "preamble_len", framing.DEFAULT_PREAMBLE_LEN)
+    buf, params, meta = _load_capture(args.in_path)
+    preamble_len = meta.get("preamble_len", framing.DEFAULT_PREAMBLE_LEN)
     offset = framing.detect_preamble(buf, params, preamble_len)
     payload, rf, diag = framing.decode_frame(buf, offset, params, preamble_len)
     print(" ".join(str(s) for s in payload))
@@ -188,13 +156,10 @@ def cmd_frame_decode(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    start, stop = args.snr_start, args.snr_stop
-    if args.snr is not None:
-        start = stop = args.snr
     return ExperimentConfig(
         sf_list=_parse_list(args.sf_list, int),
         beta_list=_parse_list(args.betas, float),
-        snr_start_db=start, snr_stop_db=stop, snr_step_db=args.snr_step,
+        snr_start_db=args.snr_start, snr_stop_db=args.snr_stop, snr_step_db=args.snr_step,
         trials=args.trials, seed=args.seed,
         out_csv=args.out, bins_csv=getattr(args, "bins_out", "") or "",
     )
@@ -232,9 +197,8 @@ def cmd_select(args) -> int:
             line = line.strip()
             if line and not line.startswith("#"):
                 adaptive.record_packet(history, float(line))
-    margin = 0.0 if args.aggressive else args.margin_db
     try:
-        rf = adaptive.select_beta(history, table, args.sf, margin)
+        rf = adaptive.select_beta(history, table, args.sf, args.margin_db)
     except KeyError as exc:  # the table lacks a threshold for this sf at beta = 1
         raise ValueError(exc.args[0]) from None
     print(f"beta={rf.beta} index={rf.index}")
@@ -257,7 +221,6 @@ def _add_grid_flags(sub, trials: int):
 
 def _add_sweep_flags(sub):
     _add_grid_flags(sub, trials=1000)
-    sub.add_argument("--snr", type=float, default=None, help="single SNR point (overrides start/stop)")
     sub.add_argument("--snr-start", type=float, default=0.0)
     sub.add_argument("--snr-stop", type=float, default=0.0)
     sub.add_argument("--snr-step", type=float, default=0.5)
@@ -285,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("demod", help="decode an IQ capture of bare symbols")
     sub.add_argument("--in", dest="in_path", required=True)
-    sub.add_argument("--sf", type=int, default=0, help="override sidecar sf")
-    sub.add_argument("--beta", type=float, default=0.0, help="override sidecar beta")
     sub.add_argument("--count", type=int, default=None, help="decode exactly this many symbols")
     sub.set_defaults(handler=cmd_demod)
 
@@ -309,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("frame-decode", help="synchronize and decode a frame IQ capture")
     sub.add_argument("--in", dest="in_path", required=True)
-    sub.add_argument("--sf", type=int, default=0)
-    sub.add_argument("--preamble-len", type=int, default=0)
     sub.set_defaults(handler=cmd_frame_decode)
 
     sub = commands.add_parser("peak-experiment", help="mean transform-peak magnitude sweep")
@@ -331,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--table", required=True, help="threshold table CSV from calibrate")
     sub.add_argument("--in", dest="in_path", required=True, help="history file, one SNR dB per line")
     sub.add_argument("--sf", type=int, required=True)
-    sub.add_argument("--margin-db", type=float, default=adaptive.DEFAULT_SAFETY_MARGIN_DB)
-    sub.add_argument("--aggressive", action="store_true", help="class-C mode: zero safety margin")
+    sub.add_argument("--margin-db", type=float, default=adaptive.DEFAULT_SAFETY_MARGIN_DB,
+                     help="safety margin in dB; 0 for always-on receivers that prefer rate over margin")
     sub.add_argument("--capacity", type=int, default=10, help="history window size")
     sub.set_defaults(handler=cmd_select)
 

@@ -11,11 +11,19 @@ import os
 
 import numpy as np
 
-from .chirps import IqBuffer
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, SPREADING_FACTORS, IqBuffer
 
 SIDECAR_SUFFIX = ".meta"
 FORMAT_VERSION = "cf32.v1"
 BETA_TABLE_VERSION = "v1"
+
+# sidecar keys read as typed values: (parse, the values a capture can carry)
+_SIDECAR_VALUES = {
+    "sf": (int, SPREADING_FACTORS.__contains__),
+    "bw": (float, BANDWIDTHS_HZ.__contains__),
+    "beta": (float, BETA_TABLE.__contains__),
+    "preamble_len": (int, lambda value: value >= 1),
+}
 
 
 class IqFormatError(Exception):
@@ -31,29 +39,48 @@ def write_iq(path, buf: IqBuffer, meta: dict):
     np.asarray(buf.samples, dtype="<c8").tofile(path)
     lines = {"format": FORMAT_VERSION, "beta_table": BETA_TABLE_VERSION}
     lines.update(meta)
-    with open(sidecar_path(path), "w") as handle:
+    with open(sidecar_path(path), "w", encoding="utf-8") as handle:
         for key, value in lines.items():
             handle.write(f"{key}={value}\n")
 
 
 def read_sidecar(path) -> dict:
-    """Sidecar key=value pairs; a format or beta_table other than this version's is rejected."""
+    """Sidecar key=value pairs, sf, bw, beta and preamble_len typed and checked, other values as strings.
+
+    A sidecar that is missing, not UTF-8 or repeats a key, a foreign format
+    or beta_table, or a value no capture can carry raises IqFormatError.
+    """
     meta_path = sidecar_path(path)
     if not os.path.exists(meta_path):
         raise IqFormatError(f"missing sidecar {meta_path}")
     meta = {}
-    with open(meta_path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise IqFormatError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            meta[key.strip()] = value.strip()
+    try:
+        with open(meta_path, encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise IqFormatError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
+                key, value = map(str.strip, line.split("=", 1))
+                if key in meta:
+                    raise IqFormatError(f"{meta_path}:{lineno}: key '{key}' repeated")
+                meta[key] = value
+    except UnicodeDecodeError:
+        raise IqFormatError(f"{meta_path}: not UTF-8 text") from None
     for key, supported in (("format", FORMAT_VERSION), ("beta_table", BETA_TABLE_VERSION)):
         if meta.get(key, supported) != supported:
             raise IqFormatError(f"{meta_path}: {key}={meta[key]} is not the supported {supported}")
+    for key, (parse, possible) in _SIDECAR_VALUES.items():
+        if key not in meta:
+            continue
+        try:
+            value = parse(meta[key])
+        except ValueError:
+            value = None
+        if value is None or not possible(value):
+            raise IqFormatError(f"{meta_path}: {key}={meta[key]} is not a value a capture can carry")
+        meta[key] = value
     return meta
 
 

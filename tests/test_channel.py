@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chirplab.channel import ChannelConfig, awgn, snr_estimate
+from chirplab.channel import ChannelConfig, awgn, noise_scale, snr_estimate
 from chirplab.chirps import IqBuffer, LoraParams, ReductionFactor, FULL_PERIOD
 from chirplab.modem import DemodResult, demodulate, modulate
 
@@ -52,6 +52,17 @@ class TestAwgn:
     def test_empty_buffer(self):
         out = awgn(unit_buffer(0), ChannelConfig(snr_db=0.0, seed=5))
         assert len(out) == 0
+
+
+class TestNoiseScale:
+    @pytest.mark.parametrize("snr_db", [-30.0, -3.0, 0.0, 12.5, 300.0, float("inf")])
+    def test_per_component_deviation(self, snr_db):
+        assert noise_scale(snr_db) == 10.0 ** (-snr_db / 20.0) / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan"), -7000.0])
+    def test_rejects_a_scale_that_is_not_finite(self, snr_db):
+        with pytest.raises(ValueError, match="not a finite number"):
+            noise_scale(snr_db)
 
 
 class TestSnrEstimate:

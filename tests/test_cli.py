@@ -1,4 +1,7 @@
 import csv
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +40,9 @@ class TestIqFile:
         back = iqfile.read_iq(path, SF7.bw)
         np.testing.assert_array_equal(back.samples, buf.samples)
         meta = iqfile.read_sidecar(path)
-        assert meta["sf"] == "7"
-        assert meta["beta"] == "1.0"
+        assert meta["sf"] == 7 and type(meta["sf"]) is int
+        assert meta["bw"] == 125000.0 and type(meta["bw"]) is float
+        assert meta["beta"] == 1.0 and type(meta["beta"]) is float
         assert meta["format"] == iqfile.FORMAT_VERSION
         assert meta["beta_table"] == iqfile.BETA_TABLE_VERSION
 
@@ -58,6 +62,24 @@ class TestIqFile:
         path = tmp_path / "orphan.cf32"
         path.write_bytes(b"\x00" * 8)
         with pytest.raises(iqfile.IqFormatError):
+            iqfile.read_sidecar(path)
+
+    def test_sidecar_typed_values(self, tmp_path):
+        path = tmp_path / "frame.cf32"
+        iqfile.write_iq(path, IqBuffer(np.zeros(4), SF7.bw),
+                        {"sf": 12, "bw": 500000.0, "beta": 0.625, "preamble_len": 3, "note": "7"})
+        meta = iqfile.read_sidecar(path)
+        assert [(meta[key], type(meta[key])) for key in ("sf", "bw", "beta", "preamble_len")] == [
+            (12, int), (500000.0, float), (0.625, float), (3, int)]
+        # keys the reader does not know pass through as strings
+        assert meta["note"] == "7"
+
+    @pytest.mark.parametrize("key, value", [("sf", "abc"), ("sf", "6"), ("bw", "1e3"), ("beta", "0.3"),
+                                            ("beta", "nan"), ("preamble_len", "0")])
+    def test_sidecar_value_no_capture_carries(self, tmp_path, key, value):
+        path = tmp_path / "bad.cf32"
+        iqfile.write_iq(path, IqBuffer(np.zeros(4), SF7.bw), {"sf": 7, "bw": 125000.0, key: value})
+        with pytest.raises(iqfile.IqFormatError, match=f"{key}={value} is not a value"):
             iqfile.read_sidecar(path)
 
 
@@ -241,7 +263,7 @@ class TestSweepCommands:
     def test_ber_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "ber.csv"
         code, _, _ = run(capsys, "ber-sweep", "--sf", "7", "--betas", "1.0,0.5",
-                         "--snr", -9.0, "--trials", 2000, "--seed", 5, "--out", out)
+                         "--snr-start", -9.0, "--snr-stop", -9.0, "--trials", 2000, "--seed", 5, "--out", out)
         assert code == 0
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
@@ -251,7 +273,7 @@ class TestSweepCommands:
     def test_peak_experiment_csv(self, tmp_path, capsys):
         out = tmp_path / "peak.csv"
         code, _, _ = run(capsys, "peak-experiment", "--betas", "1.0,0.875",
-                         "--snr", 300.0, "--trials", 20, "--out", out)
+                         "--snr-start", 300.0, "--snr-stop", 300.0, "--trials", 20, "--out", out)
         assert code == 0
         with open(out, newline="") as handle:
             rows = {float(r["beta"]): r for r in csv.DictReader(handle)}
@@ -300,10 +322,10 @@ class TestCalibrateSelect:
         assert code == 0
         assert out.strip() == "beta=1.0 index=0"
 
-    def test_aggressive_flag_zeroes_margin(self, tmp_path, capsys):
+    def test_zero_margin_is_more_aggressive(self, tmp_path, capsys):
         _, out, _ = self.select(tmp_path, capsys, "-4.2\n", self.GOOD)
         assert out.strip() == "beta=0.875 index=1"
-        _, out, _ = self.select(tmp_path, capsys, "-4.2\n", self.GOOD, "--aggressive")
+        _, out, _ = self.select(tmp_path, capsys, "-4.2\n", self.GOOD, "--margin-db", 0)
         assert out.strip() == "beta=0.5 index=4"
 
     def select_error(self, tmp_path, capsys, table_rows, **kwargs):
@@ -389,6 +411,11 @@ def malformed_inputs(tmp_path_factory):
     iqfile.write_iq(root / "beta_0.3.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.3})
     for name, key, value in (("sf_abc", "sf", "abc"), ("bw_1e3", "bw", "1e3"), ("preamble_x", "preamble_len", "x")):
         iqfile.write_iq(root / f"{name}.cf32", frame, {"sf": 7, "bw": 125000.0, "preamble_len": 8, key: value})
+    # mod.cf32's sidecar with one more line: a key given twice, a byte that is not UTF-8
+    for name, extra in (("sf_twice", b"sf=9\n"), ("not_utf8", b"note=\xff\n")):
+        iqfile.write_iq(root / f"{name}.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.5})
+        with open(iqfile.sidecar_path(root / f"{name}.cf32"), "ab") as handle:
+            handle.write(extra)
     good = TestCalibrateSelect.GOOD
     write_table(root / "good.csv", good)
     write_table(root / "dup.csv", good + [good[0]])
@@ -417,10 +444,13 @@ MALFORMED_ARGV = [
     ("mod --sf 7 --payload 0xzz --out {d}/x.cf32", 1),
     ("mod --sf seven --payload 1 --out {d}/x.cf32", 2),
     ("demod --in {d}/absent.cf32", 3),
-    ("demod --in {d}/cf64.cf32 --beta 1.0", 3),
+    ("demod --in {d}/cf64.cf32", 3),
     ("demod --in {d}/ragged.cf32", 4),
     ("demod --in {d}/beta_0.3.cf32", 3),
-    ("demod --in {d}/mod.cf32 --beta 0.3", 1),
+    ("demod --in {d}/sf_twice.cf32", 3),
+    ("demod --in {d}/not_utf8.cf32", 3),
+    ("demod --in {d}/mod.cf32 --beta 0.3", 2),
+    ("demod --in {d}/mod.cf32 --sf 7", 2),
     ("demod --in {d}/mod.cf32 --bw 250000", 2),
     ("toa --sf 7 --ns -5", 1),
     ("toa --sf 7 --ns 1 --preamble-len 0", 1),
@@ -429,11 +459,13 @@ MALFORMED_ARGV = [
     ("frame-encode --sf 7 --payload 1 --preamble-len 0 --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr nan --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr 0 --seed -1 --out {d}/x.cf32", 1),
-    ("frame-decode --in {d}/frame.cf32 --preamble-len -3", 1),
-    ("frame-decode --in {d}/frame.cf32 --preamble-len -8", 1),
+    ("frame-encode --sf 7 --payload 1 --snr -7000 --out {d}/x.cf32", 1),
+    ("frame-encode --sf 7 --payload 1 --snr=-inf --out {d}/x.cf32", 1),
+    ("frame-decode --in {d}/frame.cf32 --preamble-len -3", 2),
+    ("frame-decode --in {d}/frame.cf32 --preamble-len -8", 2),
     ("frame-decode --in {d}/v9.cf32", 3),
     ("frame-decode --in {d}/cf64.cf32", 3),
-    ("frame-decode --in {d}/frame.cf32 --sf 6", 1),
+    ("frame-decode --in {d}/frame.cf32 --sf 6", 2),
     ("frame-decode --in {d}/sf_abc.cf32", 3),
     ("frame-decode --in {d}/bw_1e3.cf32", 3),
     ("frame-decode --in {d}/preamble_x.cf32", 3),
@@ -444,14 +476,18 @@ MALFORMED_ARGV = [
     ("peak-experiment --betas 0.9 --out {d}/x.csv", 1),
     ("peak-experiment --betas= --out {d}/x.csv", 1),
     ("peak-experiment --seed -1 --out {d}/x.csv", 1),
+    ("peak-experiment --snr-start -7000 --snr-stop -7000 --out {d}/x.csv", 1),
+    ("peak-experiment --snr 0 --out {d}/x.csv", 2),
     ("ber-sweep --snr-stop inf --out {d}/x.csv", 1),
     ("ber-sweep --snr-step nan --out {d}/x.csv", 1),
     ("ber-sweep --snr-start 1 --snr-stop 0 --out {d}/x.csv", 1),
     ("ber-sweep --trials 0 --out {d}/x.csv", 1),
     ("ber-sweep --sf 7,x --out {d}/x.csv", 1),
     ("ber-sweep --sf= --out {d}/x.csv", 1),
-    ("ber-sweep --out {d}/absent/x.csv --snr 300", 1),
+    ("ber-sweep --out {d}/absent/x.csv --snr-start 300 --snr-stop 300", 1),
     ("ber-sweep --seed -1 --out {d}/x.csv", 1),
+    ("ber-sweep --snr-start -7000 --snr-stop -7000 --out {d}/x.csv", 1),
+    ("ber-sweep --snr 0 --out {d}/x.csv", 2),
     ("ber-sweep --bw 250000 --out {d}/x.csv", 2),
     ("calibrate --target-ser 0 --out {d}/x.csv", 1),
     ("calibrate --target-ser -0.5 --out {d}/x.csv", 1),
@@ -477,6 +513,7 @@ MALFORMED_ARGV = [
     ("select --table {d}/good.csv --in {d}/nan_first.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/nan_last.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --margin-db nan", 1),
+    ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --aggressive", 2),
 ]
 
 
@@ -498,3 +535,17 @@ class TestUnknownFlag:
         with pytest.raises(SystemExit) as exc:
             cli.main(["toa", "--sf", "7", "--ns", "1", "--bogus"])
         assert exc.value.code == 2
+
+
+def test_readme_cli_examples_parse():
+    """Every `chirplab` line of README's CLI block names only flags the parser takes; nothing is run."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("chirplab ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
