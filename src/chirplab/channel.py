@@ -16,6 +16,10 @@ import numpy as np
 from .chirps import IqBuffer
 from .modem import DemodResult
 
+# Lowest SNR whose noise a capture or a trial spectrum can hold: its scale is 7.1e14, so float32
+# samples (max 3.4e38) and the n-point transforms of the trial engine stay far from overflow.
+MIN_SNR_DB = -300.0
+
 
 def check_seed(seed: int):
     """Raise ValueError unless the seed is >= 0; SeedSequence takes no negative entropy."""
@@ -40,13 +44,18 @@ class ChannelConfig:
 
 
 def noise_scale(snr_db: float) -> float:
-    """Per-component noise deviation 10**(-snr_db/20) / sqrt(2); ValueError unless it is a finite number."""
+    """Per-component noise deviation 10**(-snr_db/20) / sqrt(2).
+
+    ValueError unless it is a finite number and snr_db is at least MIN_SNR_DB.
+    """
     try:
         scale = 10.0 ** (-float(snr_db) / 20.0) / math.sqrt(2.0)
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale):
         raise ValueError(f"SNR {snr_db} dB gives a noise scale that is not a finite number")
+    if snr_db < MIN_SNR_DB:
+        raise ValueError(f"SNR {snr_db} dB is below the {MIN_SNR_DB} dB floor, past which noise can overflow")
     return scale
 
 

@@ -227,10 +227,11 @@ def _add_sweep_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chirplab", description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(prog="chirplab", description=__doc__.split("\n")[0], allow_abbrev=False)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    sub = commands.add_parser("chirp", help="dump one chirp waveform and its frequency trajectory")
+    sub = commands.add_parser("chirp", allow_abbrev=False,
+                              help="dump one chirp waveform and its frequency trajectory")
     _add_params_flags(sub)
     sub.add_argument("--down", action="store_true", help="base downchirp instead of upchirp")
     sub.add_argument("--symbol", type=int, default=0, help="cyclic shift (symbol value)")
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True)
     sub.set_defaults(handler=cmd_chirp)
 
-    sub = commands.add_parser("mod", help="modulate symbols to an IQ capture")
+    sub = commands.add_parser("mod", allow_abbrev=False, help="modulate symbols to an IQ capture")
     _add_params_flags(sub)
     sub.add_argument("--beta", type=float, default=1.0)
     sub.add_argument("--payload", required=True, help="space-separated symbol values (decimal or 0x hex)")
@@ -246,19 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--freq-out", default="", help="also dump the frequency trajectory CSV")
     sub.set_defaults(handler=cmd_mod)
 
-    sub = commands.add_parser("demod", help="decode an IQ capture of bare symbols")
+    sub = commands.add_parser("demod", allow_abbrev=False, help="decode an IQ capture of bare symbols")
     sub.add_argument("--in", dest="in_path", required=True)
     sub.add_argument("--count", type=int, default=None, help="decode exactly this many symbols")
     sub.set_defaults(handler=cmd_demod)
 
-    sub = commands.add_parser("toa", help="airtime report for a frame shape")
+    sub = commands.add_parser("toa", allow_abbrev=False, help="airtime report for a frame shape")
     _add_params_flags(sub)
     sub.add_argument("--beta", type=float, default=1.0)
     sub.add_argument("--ns", type=int, required=True, help="payload symbol count")
     sub.add_argument("--preamble-len", type=int, default=framing.DEFAULT_PREAMBLE_LEN)
     sub.set_defaults(handler=cmd_toa)
 
-    sub = commands.add_parser("frame-encode", help="build a frame IQ capture")
+    sub = commands.add_parser("frame-encode", allow_abbrev=False, help="build a frame IQ capture")
     _add_params_flags(sub)
     sub.add_argument("--beta", type=float, default=1.0)
     sub.add_argument("--payload", required=True)
@@ -268,25 +269,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", required=True)
     sub.set_defaults(handler=cmd_frame_encode)
 
-    sub = commands.add_parser("frame-decode", help="synchronize and decode a frame IQ capture")
+    sub = commands.add_parser("frame-decode", allow_abbrev=False, help="synchronize and decode a frame IQ capture")
     sub.add_argument("--in", dest="in_path", required=True)
     sub.set_defaults(handler=cmd_frame_decode)
 
-    sub = commands.add_parser("peak-experiment", help="mean transform-peak magnitude sweep")
+    sub = commands.add_parser("peak-experiment", allow_abbrev=False, help="mean transform-peak magnitude sweep")
     _add_sweep_flags(sub)
     sub.add_argument("--bins-out", default="", help="per-bin magnitude CSV for one representative trial")
     sub.set_defaults(handler=cmd_peak_experiment)
 
-    sub = commands.add_parser("ber-sweep", help="SER/BER sweep over an SNR grid")
+    sub = commands.add_parser("ber-sweep", allow_abbrev=False, help="SER/BER sweep over an SNR grid")
     _add_sweep_flags(sub)
     sub.set_defaults(handler=cmd_ber_sweep)
 
-    sub = commands.add_parser("calibrate", help="calibrate required-SNR thresholds per (sf, beta)")
+    sub = commands.add_parser("calibrate", allow_abbrev=False,
+                              help="calibrate required-SNR thresholds per (sf, beta)")
     _add_grid_flags(sub, trials=100_000)
     sub.add_argument("--target-ser", type=float, default=adaptive.DEFAULT_TARGET_SER)
     sub.set_defaults(handler=cmd_calibrate)
 
-    sub = commands.add_parser("select", help="choose beta from a link-SNR history file")
+    sub = commands.add_parser("select", allow_abbrev=False, help="choose beta from a link-SNR history file")
     sub.add_argument("--table", required=True, help="threshold table CSV from calibrate")
     sub.add_argument("--in", dest="in_path", required=True, help="history file, one SNR dB per line")
     sub.add_argument("--sf", type=int, required=True)

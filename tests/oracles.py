@@ -7,6 +7,8 @@ import numpy as np
 from chirplab.channel import add_noise
 from chirplab.framing import PreambleNotFoundError
 from chirplab.modem import NOISE_FLOOR_MIN, _window_spectra, modulate
+# the bounds live in the library, which seeds calibration with union_bound_ser; tests import them from here
+from chirplab.montecarlo import log_i0, marcum_q1, union_bound_ser  # noqa: F401
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -26,41 +28,6 @@ def naive_dft_batch(rows: np.ndarray, n: int) -> np.ndarray:
     padded = np.zeros((rows.shape[0], n), dtype=np.complex128)
     padded[:, : rows.shape[1]] = rows
     return padded @ dft_matrix(n).T
-
-
-def _half_turn(points: int = 513):
-    """Nodes on [0, pi] and trapezoid weights that average over them.
-
-    The trapezoid rule is spectrally accurate for a smooth periodic integrand,
-    and every integrand here is a smooth even function of cos t.
-    """
-    t = np.linspace(0.0, np.pi, points)
-    weights = np.full(points, 1.0 / (points - 1))
-    weights[[0, -1]] /= 2
-    return t, weights
-
-
-def log_i0(z: np.ndarray) -> np.ndarray:
-    """log I0(z) for z >= 0, as z + log((1/pi) * integral over [0, pi] of exp(z (cos t - 1)) dt).
-
-    The integrand is at most 1, so nothing overflows.
-    """
-    t, weights = _half_turn()
-    return z + np.log(np.exp(np.multiply.outer(z, np.cos(t) - 1.0)) @ weights)
-
-
-def marcum_q1(a, b) -> np.ndarray:
-    """Marcum Q1(a, b) for 0 <= a < b, elementwise.
-
-    With z = a / b and d(t) = 1 - 2 z cos t + z^2, Q1(a, b) is
-    (1/pi) * integral over [0, pi] of (1 - z cos t) / d(t) exp(-b^2 d(t) / 2) dt
-    (Simon & Alouini, Digital Communication over Fading Channels, 4.2).
-    """
-    t, weights = _half_turn()
-    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
-    z = a / b
-    d = 1.0 - 2.0 * z * np.cos(t) + z * z
-    return ((1.0 - z * np.cos(t)) / d * np.exp(-b * b * d / 2.0)) @ weights
 
 
 def _orthogonal_ser(bins: int, es_n0: float) -> float:
@@ -93,29 +60,6 @@ def analytic_ser(sf: int, snr_db: float) -> float:
     """
     n = 1 << sf
     return _orthogonal_ser(n, n * 10.0 ** (snr_db / 10.0))
-
-
-def union_bound_ser(sf: int, beta: float, snr_db: float) -> float:
-    """Union upper bound on the symbol error rate of dechirp-and-argmax detection of m = beta n samples.
-
-    Dechirped symbol 0 is m ones, zero-padded to n; it leaks into bin k with
-    the correlation rho_k = (1/m) sum over j < m of exp(-2 pi i j k / n), and
-    the noise of bins 0 and k has the same correlation (Elshabrawy & Robert,
-    IEEE Comm. Letters 2018, on truncated-symbol leakage). So bin k beats
-    bin 0 with the noncoherent error of two correlated equal-energy signals
-    (Proakis, Digital Communications, 5.4) at es_n0 = g = m 10^(snr/10):
-    Q1(a, b) - exp(-(a^2 + b^2) / 2) I0(a b) / 2, with
-    a, b = sqrt(g / 2 (1 -+ sqrt(1 - |rho_k|^2))). The bound sums it over k != 0.
-    """
-    n = 1 << sf
-    m = round(beta * n)
-    es_n0 = m * 10.0 ** (snr_db / 10.0)
-    # |rho_k| = |rho_(n-k)|, and many bins share a value: score each value once
-    rho, count = np.unique(np.round(np.abs(np.fft.fft(np.ones(m), n=n)[1:]) / m, 12), return_counts=True)
-    root = np.sqrt(1.0 - rho * rho)
-    a, b = np.sqrt(es_n0 / 2.0 * (1.0 - root)), np.sqrt(es_n0 / 2.0 * (1.0 + root))
-    pairwise = marcum_q1(a, b) - 0.5 * np.exp(log_i0(a * b) - (a * a + b * b) / 2.0)
-    return float(count @ pairwise)
 
 
 def orthogonal_subset_ser(sf: int, beta: float, snr_db: float) -> float:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -206,28 +204,45 @@ class TestCalibration:
         table.validate()
         assert table.entries[(9, 1.0)] < table.entries[(7, 1.0)]
 
-    @pytest.mark.parametrize("sf, beta, seed", [(7, 1.0, 9), (7, 0.5, 3), (9, 0.75, 11)])
-    def test_search_matches_full_grid_within_probe_bound(self, monkeypatch, sf, beta, seed):
+    @pytest.mark.parametrize("sf, beta, seed, target_ser, trials", [
+        pytest.param(7, 1.0, 9, 1e-2, 2000, id="7-1.0-9"),
+        pytest.param(7, 0.5, 3, 1e-2, 2000, id="7-0.5-3"),
+        pytest.param(9, 0.75, 11, 1e-2, 2000, id="9-0.75-11"),
+        # the bound's grid threshold (-11.5 dB) lies one step above the engine's (-12.0 dB)
+        pytest.param(9, 0.625, 11, 1e-2, 2000, id="9-0.625-11"),
+        pytest.param(7, 0.75, 5, 1e-3, 10_000, id="7-0.75-5-target-1e-3"),
+    ])
+    def test_search_matches_full_grid_within_probe_bound(self, monkeypatch, sf, beta, seed, target_ser, trials):
         # streams do not depend on the SNR, so one engine call over the whole grid is the oracle
-        params, rf, target_ser, trials = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta), 1e-2, 2000
+        params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
         grid = snr_grid(adaptive.SNR_SEARCH_MIN_DB, adaptive.SNR_SEARCH_MAX_DB, adaptive.SNR_SEARCH_STEP_DB)
         sers = symbol_error_rate(params, rf, grid, trials, seed)
         expected = next(snr for snr, ser in zip(grid, sers) if ser <= target_ser)
         probes, probe = [], adaptive.symbol_error_rate
         monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: probes.append(args[2]) or probe(*args))
         assert adaptive._required_snr(params, rf, target_ser, trials, seed) == expected
-        assert len(probes) <= math.ceil(math.log2(len(grid) + 1)) == 7
+        assert len(probes) <= 3
+
+    def test_window_miss_falls_back_to_two_pass_search(self, monkeypatch):
+        # at target SER 0.1 the union bound is loose: the threshold lies below the predicted window
+        params, rf, target_ser, trials, seed = SF7, ReductionFactor(1.0), 0.1, 2000, 0
+        probes, probe = [], adaptive.symbol_error_rate
+        monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: probes.append(args[2]) or probe(*args))
+        required = adaptive._required_snr(params, rf, target_ser, trials, seed)
+        assert len(probes) == 3  # the window, then both passes of the fallback
+        assert required == adaptive._two_pass_search(params, rf, target_ser, trials, seed)
 
     def test_two_pass_search_finds_every_step(self, monkeypatch):
-        # a step SER that passes from grid index first on; first = len(grid) never passes
+        # a step SER that passes from grid index first on; first = len(grid) never passes. The predicted
+        # window answers a step inside it in one pass; any other step falls back to the two-pass search
         grid = snr_grid(adaptive.SNR_SEARCH_MIN_DB, adaptive.SNR_SEARCH_MAX_DB, adaptive.SNR_SEARCH_STEP_DB)
         assert len(grid) == 71
         for first in range(len(grid) + 1):
             passes = []
 
             def step_ser(params, rf, snrs_db, trials, seed):
-                passes.append(list(snrs_db))
-                return [0.0 if grid.index(snr_db) >= first else 1.0 for snr_db in snrs_db]
+                passes.append([grid.index(snr_db) for snr_db in snrs_db])
+                return [0.0 if index >= first else 1.0 for index in passes[-1]]
 
             monkeypatch.setattr(adaptive, "symbol_error_rate", step_ser)
             if first == len(grid):
@@ -235,8 +250,14 @@ class TestCalibration:
                     adaptive._required_snr(SF7, ReductionFactor(1.0), 1e-2, 2000, 0)
             else:
                 assert adaptive._required_snr(SF7, ReductionFactor(1.0), 1e-2, 2000, 0) == grid[first]
-            assert len(passes) <= 2, first
-            assert sum(map(len, passes)) <= 17, first
+            window = passes[0]
+            assert len(window) == 4, first
+            if (window[0] < first or window[0] == 0) and first <= window[-1]:
+                assert len(passes) == 1, first
+            else:
+                # the window, then at most 9 coarse and 7 fine points of the two-pass search
+                assert len(passes) <= 3, first
+                assert sum(map(len, passes)) <= 4 + 16, first
 
     def test_unreachable_target_raises(self, monkeypatch):
         monkeypatch.setattr(adaptive, "SNR_SEARCH_MAX_DB", -25.0)

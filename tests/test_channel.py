@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chirplab.channel import ChannelConfig, awgn, noise_scale, snr_estimate
+from chirplab.channel import MIN_SNR_DB, ChannelConfig, awgn, noise_scale, snr_estimate
 from chirplab.chirps import IqBuffer, LoraParams, ReductionFactor, FULL_PERIOD
 from chirplab.modem import DemodResult, demodulate, modulate
 
@@ -55,13 +55,19 @@ class TestAwgn:
 
 
 class TestNoiseScale:
-    @pytest.mark.parametrize("snr_db", [-30.0, -3.0, 0.0, 12.5, 300.0, float("inf")])
+    @pytest.mark.parametrize("snr_db", [-30.0, -3.0, 0.0, 12.5, 300.0, float("inf"), MIN_SNR_DB])
     def test_per_component_deviation(self, snr_db):
         assert noise_scale(snr_db) == 10.0 ** (-snr_db / 20.0) / np.sqrt(2.0)
 
     @pytest.mark.parametrize("snr_db", [float("-inf"), float("nan"), -7000.0])
     def test_rejects_a_scale_that_is_not_finite(self, snr_db):
         with pytest.raises(ValueError, match="not a finite number"):
+            noise_scale(snr_db)
+
+    @pytest.mark.parametrize("snr_db", [-300.5, -800.0, -6160.0])
+    def test_rejects_snr_below_floor(self, snr_db):
+        # finite scales whose noise overflows a float32 capture (-800) or the trial spectra (-6160)
+        with pytest.raises(ValueError, match="below the -300.0 dB floor"):
             noise_scale(snr_db)
 
 

@@ -461,6 +461,7 @@ MALFORMED_ARGV = [
     ("frame-encode --sf 7 --payload 1 --snr 0 --seed -1 --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr -7000 --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr=-inf --out {d}/x.cf32", 1),
+    ("frame-encode --sf 7 --payload 1 --snr -800 --out {d}/x.cf32", 1),
     ("frame-decode --in {d}/frame.cf32 --preamble-len -3", 2),
     ("frame-decode --in {d}/frame.cf32 --preamble-len -8", 2),
     ("frame-decode --in {d}/v9.cf32", 3),
@@ -487,6 +488,7 @@ MALFORMED_ARGV = [
     ("ber-sweep --out {d}/absent/x.csv --snr-start 300 --snr-stop 300", 1),
     ("ber-sweep --seed -1 --out {d}/x.csv", 1),
     ("ber-sweep --snr-start -7000 --snr-stop -7000 --out {d}/x.csv", 1),
+    ("ber-sweep --betas 1.0 --snr-start -6160 --snr-stop -6160 --trials 100 --out {d}/x.csv", 1),
     ("ber-sweep --snr 0 --out {d}/x.csv", 2),
     ("ber-sweep --bw 250000 --out {d}/x.csv", 2),
     ("calibrate --target-ser 0 --out {d}/x.csv", 1),
@@ -514,6 +516,7 @@ MALFORMED_ARGV = [
     ("select --table {d}/good.csv --in {d}/nan_last.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --margin-db nan", 1),
     ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --aggressive", 2),
+    ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --marg 0", 2),
 ]
 
 
