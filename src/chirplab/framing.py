@@ -12,6 +12,7 @@ defined by chirps.BETA_TABLE (index i encodes beta = 1 - i/8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,14 +37,16 @@ DEFAULT_PREAMBLE_LEN = 8
 # Minimum peak-over-floor ratio for a window to count as a preamble hit;
 # the max/median ratio of pure-noise spectra stays well below this.
 PREAMBLE_PEAK_RATIO = 4.0
-# A preamble hit needs bin 0 to be the largest of the window's n bins. By
-# Parseval their squared magnitudes average to the window energy E, so a hit
-# has |X_0|^2 >= E, and X_0 is the window's correlation with the base upchirp.
-# The screen tests that bound at 0.9 E. The 10% margin absorbs rounding: a
-# window with a flat spectrum (one nonzero sample) meets the bound with
-# equality, and the screen's correlation comes from a 2n-point transform over
-# a block that may also hold a far louder neighbour. Tested at exactly E, the
-# flat windows of the exactness tests are lost to rounding.
+# A preamble hit with peak ratio R has |X_0|^2 = P as its largest squared bin,
+# and its floor (order statistic (n - 2) / 2) is at most sqrt(P) / R, so n / 2
+# bins are at most P / R^2 and the other n / 2 at most P. By Parseval the n
+# squared bins sum to n E, E the window energy, so P >= 2 E / (1 + R^-2), and
+# P >= E in any case. X_0 is the window's correlation with the base upchirp.
+# The screen tests that bound times 0.9. The 10% margin absorbs rounding: a
+# window can meet the bound with equality (a flat spectrum at R = 1), and the
+# screen's correlation comes from a 2n-point transform over a block that may
+# also hold a far louder neighbour. Tested at the bound itself, windows that
+# meet it with equality are lost to rounding.
 SCREEN_ENERGY_FRACTION = 0.9
 
 
@@ -134,33 +137,44 @@ def build_frame(spec: FrameSpec, params: LoraParams) -> IqBuffer:
     return IqBuffer(np.concatenate(parts), params.bw)
 
 
-def _screen_windows(samples: np.ndarray, n: int) -> np.ndarray:
-    """Which windows can be preamble hits, as a (len // n, n) grid.
-
-    Entry [i, a] is for the window at start a + i n; starts past len - n are
-    False. Tests |corr[s]|^2 >= SCREEN_ENERGY_FRACTION * E[s] at every start
-    by overlap-save: row b holds the starts [b n, (b + 1) n), whose windows
-    lie in samples [b n, (b + 2) n), that is in blocks b and b + 1, and one
-    2n-point transform gives the row's correlations. Each energy is a suffix sum of block b plus a prefix
-    sum of block b + 1, so it adds only samples inside its window. Non-finite
-    samples are zeroed so that they cannot spoil a block, and every window
-    holding one fails: its spectrum is NaN, so the exact check never counts
-    it a hit.
-    """
-    finite = np.isfinite(samples)
-    blocks = len(samples) // n
-    padded = np.zeros((blocks + 1) * n, dtype=np.complex128)
-    padded[: len(samples)] = np.where(finite, samples, 0)
-    segments = np.lib.stride_tricks.sliding_window_view(padded, 2 * n)[::n]
+@lru_cache(maxsize=None)
+def _screen_template(n: int) -> np.ndarray:
+    """conj(fft(u, 2n)) of the base upchirp u: the screen's overlap-save correlation template."""
     template = np.conj(np.fft.fft(_base_ramp(n), 2 * n))
-    corr = np.fft.ifft(np.fft.fft(segments, axis=1) * template, axis=1)[:, :n]
+    template.setflags(write=False)
+    return template
+
+
+def _screen_windows(samples: np.ndarray, n: int, first: int, stop: int) -> np.ndarray:
+    """Which windows of rows first to stop - 1 can be preamble hits, as a (stop - first, n) grid.
+
+    Row b holds the starts [b n, (b + 1) n), and entry [i, a] is for the
+    window at start a + (first + i) n; starts past len - n are False. Tests
+    |corr[s]|^2 >= SCREEN_ENERGY_FRACTION * max(1, 2 / (1 + R^-2)) * E[s], R
+    the PREAMBLE_PEAK_RATIO of the moment, at every start by overlap-save: the
+    windows of row b lie in samples [b n, (b + 2) n), that is in blocks b and
+    b + 1, so only the blocks first to stop are read, and one 2n-point
+    transform gives a row's correlations. Each energy is a suffix sum of
+    block b plus a prefix sum of block b + 1, so it adds only samples inside
+    its window. Non-finite samples are zeroed so that they cannot spoil a
+    block, and every window holding one fails: its spectrum is NaN, so the
+    exact check never counts it a hit.
+    """
+    chunk = samples[first * n: (stop + 1) * n]
+    blocks = stop - first
+    finite = np.isfinite(chunk)
+    padded = np.zeros((blocks + 1) * n, dtype=np.complex128)
+    padded[: len(chunk)] = np.where(finite, chunk, 0)
+    segments = np.lib.stride_tricks.sliding_window_view(padded, 2 * n)[::n]
+    corr = np.fft.ifft(np.fft.fft(segments, axis=1) * _screen_template(n), axis=1)[:, :n]
     power = (padded.real ** 2 + padded.imag ** 2).reshape(blocks + 1, n)
     energy = np.cumsum(power[:-1, ::-1], axis=1)[:, ::-1]
     energy[:, 1:] += np.cumsum(power[1:, :-1], axis=1)
-    passing = corr.real ** 2 + corr.imag ** 2 >= SCREEN_ENERGY_FRACTION * energy
+    bound = SCREEN_ENERGY_FRACTION * max(1.0, 2.0 / (1.0 + PREAMBLE_PEAK_RATIO ** -2))
+    passing = corr.real ** 2 + corr.imag ** 2 >= bound * energy
     # samples no hit can hold: the non-finite ones and the padding past the end
     unusable = np.ones(len(padded), dtype=bool)
-    unusable[: len(samples)] = ~finite
+    unusable[: len(chunk)] = ~finite
     held = np.concatenate(([0], np.cumsum(unusable)))
     return passing & (held[n: len(padded)] == held[: blocks * n]).reshape(blocks, n)
 
@@ -175,39 +189,52 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     PREAMBLE_PEAK_RATIO. Returns the sample offset where the earliest
     qualifying run begins; raises PreambleNotFoundError when nothing qualifies.
 
-    A screen over every start sample (see _screen_windows) rules out the
-    windows that cannot be hits. The rows of its grid are taken in order, and
-    the windows of every run of preamble_len - 1 passing windows that starts
-    in a row get one batched spectral check (split only past 2 MB); the
-    earliest start whose windows are all hits is the result. As every hit
-    passes the screen and every start in an earlier row is an earlier sample,
-    it equals that of checking all n alignments.
+    A screen (see _screen_windows) rules out the windows that cannot be hits.
+    Its rows are screened lazily, each once, in blocks of growing size: first
+    the preamble_len - 1 rows that a run starting in row 0 touches, then 1,
+    2, 4, ... more. The rows are taken in order, and a row is taken once the
+    rows its runs reach are screened: the windows of every run of
+    preamble_len - 1 passing windows that starts in it get one batched
+    spectral check (split only past 2 MB), and the earliest start whose
+    windows are all hits is the result, so the search stops at the first
+    verified run. As every hit passes the screen and every start in an
+    earlier row is an earlier sample, it equals that of checking all n
+    alignments.
     """
     _check_preamble_len(preamble_len)
     n = params.n
     need = max(1, preamble_len - 1)
     if len(buf) < need * n:
         raise PreambleNotFoundError(f"buffer shorter than the {need} symbols of a preamble run")
-    grid = _screen_windows(buf.samples, n)
-    runs = np.zeros((len(grid) + 1, n), dtype=np.intp)
-    np.cumsum(grid, axis=0, out=runs[1:])
-    qualifies = (runs[need:] - runs[:-need]) == need
+    rows = len(buf) // n
+    grid = np.empty((rows, n), dtype=bool)
     # a run starting at s holds the samples [s, s + need n); the grid holds no
     # start past len - n, so every gathered run lies in the buffer
     span = np.arange(need * n)
-    # at most 2**17 samples (2 MB) per check: on noise about 40% of starts pass
-    # the screen, so a row of one-window runs can hold nearly n of them
+    # at most 2**17 samples (2 MB) per check: on noise a row of one-window runs
+    # can hold a fifth of its n starts as candidates
     block = max(1, (1 << 17) // (need * n))
-    for row in np.flatnonzero(qualifies.any(axis=1)):
-        candidates = row * n + np.flatnonzero(qualifies[row])
-        for lo in range(0, len(candidates), block):
-            starts = candidates[lo: lo + block]
-            run_windows = buf.samples[starts[:, None] + span].reshape(-1, n)
-            bins, peaks, floors = _peak_and_floor(_window_spectra(run_windows, params))
-            hit = (bins == 0) & (peaks / np.maximum(floors, NOISE_FLOOR_MIN) >= PREAMBLE_PEAK_RATIO)
-            complete = hit.reshape(len(starts), need).all(axis=1)
-            if complete.any():
-                return int(starts[complete.argmax()])
+    row, screened = 0, 0
+    while screened < rows:
+        # the first block is the need rows of row 0's runs; past it, blocks of 1, 2, 4, ... rows
+        stop = min(rows, 2 * screened - need + 1 if screened else need)
+        grid[screened: stop] = _screen_windows(buf.samples, n, screened, stop)
+        screened = stop
+        # the runs starting in rows row to screened - need, from passing counts over need rows
+        runs = np.zeros((screened - row + 1, n), dtype=np.intp)
+        np.cumsum(grid[row: screened], axis=0, out=runs[1:])
+        qualifies = (runs[need:] - runs[:-need]) == need
+        for i in np.flatnonzero(qualifies.any(axis=1)):
+            candidates = (row + i) * n + np.flatnonzero(qualifies[i])
+            for lo in range(0, len(candidates), block):
+                starts = candidates[lo: lo + block]
+                run_windows = buf.samples[starts[:, None] + span].reshape(-1, n)
+                bins, peaks, floors = _peak_and_floor(_window_spectra(run_windows, params))
+                hit = (bins == 0) & (peaks / np.maximum(floors, NOISE_FLOOR_MIN) >= PREAMBLE_PEAK_RATIO)
+                complete = hit.reshape(len(starts), need).all(axis=1)
+                if complete.any():
+                    return int(starts[complete.argmax()])
+        row += len(qualifies)
     raise PreambleNotFoundError("no preamble run found above the peak-ratio threshold")
 
 

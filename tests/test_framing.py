@@ -143,6 +143,36 @@ class TestDetectPreamble:
             assert detect_preamble(buf, params) == lead
             assert sum(checked) <= 3 * (spec.preamble_len - 1)
 
+    @pytest.mark.parametrize("sf", [7, 9])
+    def test_screened_rows_follow_the_lead_in(self, sf, monkeypatch):
+        # rows are screened once each, in order, and only up to the first
+        # verified run, so 1000 symbols of noise after the frame add none
+        screened = []
+        screen = framing._screen_windows
+
+        def counting_screen(samples, n, first, stop):
+            screened.extend(range(first, stop))
+            return screen(samples, n, first, stop)
+
+        monkeypatch.setattr(framing, "_screen_windows", counting_screen)
+        params = LoraParams(sf=sf, bw=125e3)
+        n = params.n
+        need = framing.DEFAULT_PREAMBLE_LEN - 1
+        rng = np.random.default_rng(900 + sf)
+        tail = rng.standard_normal(1000 * n) + 1j * rng.standard_normal(1000 * n)
+        # leads in row 0, and from row 1 on, where the run's rows straddle the
+        # end of the first block (rows 0 to need - 1)
+        for lead in (0, 1, n - 1, n, n + n // 3, 2 * n + 5, 3 * n):
+            spec = FrameSpec(payload=tuple(int(s) for s in rng.integers(0, n, 120)), rf=ReductionFactor(0.5))
+            frame = np.concatenate([np.zeros(lead, dtype=complex), build_frame(spec, params).samples])
+            rows = []
+            for samples in (frame, np.concatenate([frame, tail])):
+                screened.clear()
+                assert detect_preamble(IqBuffer(samples, params.bw), params) == lead
+                assert screened == list(range(len(screened)))
+                rows.append(len(screened))
+            assert rows[0] == rows[1] <= lead // n + need + 2
+
 
 def sync_result(detect, samples, params, preamble_len):
     try:
@@ -237,6 +267,32 @@ class TestScreenedSyncIsExact:
             for preamble_len in (2, 3, 4):
                 offsets.append(self.assert_exact(samples, params, preamble_len))
         assert any(o is not None for o in offsets)
+
+    @pytest.mark.parametrize("sf", [7, 8])
+    def test_windows_at_the_derived_bound(self, sf):
+        # A hit with peak ratio R has |X_0|^2 >= 2 E / (1 + R^-2). These windows
+        # meet that bound up to rounding: a dechirped spectrum with bin 0 at 1,
+        # n/2 - 1 bins just under 1 and n/2 just under 1/R, at random phases. In
+        # groups of two they follow a window 60 dB louder, whose rounding in the
+        # screen's 2n-point transform outweighs their excess over the bound but
+        # not the screen's margin.
+        rng = np.random.default_rng(800 + sf)
+        params = LoraParams(sf=sf, bw=125e3)
+        n = params.n
+        ratio = framing.PREAMBLE_PEAK_RATIO
+        bins = np.concatenate([np.full(n // 2 - 1, 1.0 - 1e-15), np.full(n // 2, (1.0 - 3e-15) / ratio)])
+        offsets = []
+        for _ in range(4):
+            windows = []
+            for _ in range(8):
+                loud = 1e3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                spectra = np.concatenate([[1.0], rng.permutation(bins)]) * np.exp(2j * np.pi * rng.random((2, n)))
+                windows += [loud, *(np.fft.ifft(spectra, axis=1) * framing._base_ramp(n))]
+            lead = np.zeros(int(rng.integers(0, 2 * n)), dtype=complex)
+            samples = np.concatenate([lead, *windows])
+            for preamble_len in (2, 3):
+                offsets.append(self.assert_exact(samples, params, preamble_len))
+        assert None not in offsets
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
     def test_one_nonfinite_sample(self, bad):
