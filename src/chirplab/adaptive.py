@@ -163,61 +163,43 @@ def record_packet(history: LinkHistory, snr_db: float) -> LinkHistory:
     return history
 
 
-def _first_passing(params: LoraParams, rf: ReductionFactor, target_ser: float, trials: int, seed: int,
-                   snrs_db) -> int:
-    """Index of the first point of snrs_db whose SER is at most target_ser, else len(snrs_db); one engine pass."""
-    sers = symbol_error_rate(params, rf, snrs_db, trials, seed)
-    return next((i for i, ser in enumerate(sers) if ser <= target_ser), len(snrs_db))
-
-
 def _required_snr(params: LoraParams, rf: ReductionFactor, target_ser: float, trials: int,
                   seed: int) -> float:
-    """Smallest SNR of the search grid with SER <= target, mostly in one pass over the calibration stream.
+    """Smallest SNR of the search grid with SER <= target, in at most three passes over the calibration stream.
 
-    Assumes the SER never rises with the SNR. The predicted point is the
-    first grid point whose analytic union bound on the SER is at most
-    target_ser (a bisection, about 7 bound evaluations). One engine pass
-    scores the window of four points from 1 dB below it to 0.5 dB above it.
-    If the window's first point fails, or the window starts at grid[0], its
-    first passing point is the answer. Otherwise the threshold lies outside
-    the window (as where the bound is loose, at high target SER) and
-    _two_pass_search answers alone.
-    """
-    grid = snr_grid(SNR_SEARCH_MIN_DB, SNR_SEARCH_MAX_DB, SNR_SEARCH_STEP_DB)
-    predicted = bisect.bisect_left(
-        grid, True, key=lambda snr_db: union_bound_ser(params.sf, rf.beta, snr_db) <= target_ser)
-    lo = max(predicted - 2, 0)
-    window = grid[lo:predicted + 2]
-    first = _first_passing(params, rf, target_ser, trials, seed, window)
-    if (first > 0 or lo == 0) and first < len(window):
-        return window[first]
-    return _two_pass_search(params, rf, target_ser, trials, seed)
-
-
-def _two_pass_search(params: LoraParams, rf: ReductionFactor, target_ser: float, trials: int,
-                     seed: int) -> float:
-    """Smallest SNR of the search grid with SER <= target, in at most two passes over the calibration stream.
-
-    Assumes the SER never rises with the SNR. Pass 1 scores every stride-th
-    grid point, stride = isqrt(len(grid)) (8 on the 71-point grid, so 9
-    points). Pass 2 scores the points between the last coarse point that
-    failed and the first that passed (at most 7), or those after the last
-    coarse point if none passed. A point's SER does not depend on which
+    Assumes the SER never rises with the SNR. The search keeps a bracket: the
+    last grid index known to fail and the first known to pass, -1 and
+    len(grid) standing for the ends. Pass 1 scores the window of four points
+    from 1 dB below the predicted point to 0.5 dB above it, the predicted
+    point being the first grid point whose analytic union bound on the SER
+    is at most target_ser (a bisection, about 7 bound evaluations). Where
+    the bound is loose, as at high target SER, the window misses: pass 2
+    scores every isqrt(gap)-th index of the open bracket, and pass 3 every
+    index still open. In each pass the first passing point and the point
+    before it narrow the bracket. A point's SER does not depend on which
     points share its pass, so under that assumption the result is the first
     grid point that passes, as if every point were scored alone.
     """
     grid = snr_grid(SNR_SEARCH_MIN_DB, SNR_SEARCH_MAX_DB, SNR_SEARCH_STEP_DB)
-    stride = math.isqrt(len(grid))  # about sqrt(len) points per pass scores the fewest points in two passes
-    hi = stride * _first_passing(params, rf, target_ser, trials, seed, grid[::stride])
-    lo, hi = max(hi - stride + 1, 0), min(hi, len(grid))
-    if lo < hi:
-        hi = lo + _first_passing(params, rf, target_ser, trials, seed, grid[lo:hi])
-    if hi == len(grid):
+    predicted = bisect.bisect_left(
+        grid, True, key=lambda snr_db: union_bound_ser(params.sf, rf.beta, snr_db) <= target_ser)
+    failed, passed = -1, len(grid)
+    indices = range(max(predicted - 2, 0), min(predicted + 2, len(grid)))
+    for pass_index in range(3):
+        sers = symbol_error_rate(params, rf, [grid[i] for i in indices], trials, seed)
+        first = next((k for k, ser in enumerate(sers) if ser <= target_ser), len(indices))
+        failed = indices[first - 1] if first > 0 else failed
+        passed = indices[first] if first < len(indices) else passed
+        if passed - failed == 1:
+            break
+        stride = math.isqrt(passed - failed) if pass_index == 0 else 1
+        indices = range(failed + stride, passed, stride)
+    if passed == len(grid):
         raise CalibrationError(
             f"SER above {target_ser} across the whole [{SNR_SEARCH_MIN_DB}, {SNR_SEARCH_MAX_DB}] dB range "
             f"for sf={params.sf}, beta={rf.beta}"
         )
-    return grid[hi]
+    return grid[passed]
 
 
 def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAULT_TARGET_SER,
@@ -234,11 +216,11 @@ def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAU
     _check_target_ser(target_ser)
     _check_trials(trials, target_ser)
     check_seed(seed)
+    rfs = [ReductionFactor(beta) for beta in betas]  # every beta checked before the first engine pass
     entries = {}
     for params in params_set:
-        for beta in betas:
-            rf = ReductionFactor(beta)
-            entries[(params.sf, beta)] = _required_snr(params, rf, target_ser, trials, seed)
+        for rf in rfs:
+            entries[(params.sf, rf.beta)] = _required_snr(params, rf, target_ser, trials, seed)
     return ThresholdTable(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
 
 

@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass
 
 from .channel import check_seed
-from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, SPREADING_FACTORS, LoraParams, ReductionFactor
 from .montecarlo import STREAM_VERSION, peak_statistics, run_error_trials, snr_grid
 
 PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed", "stream")
@@ -42,6 +42,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         check_seed(self.seed)
         self.snr_values()  # raises ValueError on a bad SNR range
+        for sf in self.sf_list:
+            if sf not in SPREADING_FACTORS:
+                raise ValueError(f"sf {sf} not in allowed set {SPREADING_FACTORS}")
         for beta in self.beta_list:
             if beta not in BETA_TABLE:
                 raise ValueError(f"beta {beta} not in allowed set {BETA_TABLE}")

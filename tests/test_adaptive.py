@@ -181,6 +181,13 @@ class TestThresholdTable:
         assert back.seed == table.seed
 
 
+def full_grid_threshold(params, rf, target_ser, trials, seed):
+    """The search's oracle: streams do not depend on the SNR, so one engine call scores the whole grid."""
+    grid = snr_grid(adaptive.SNR_SEARCH_MIN_DB, adaptive.SNR_SEARCH_MAX_DB, adaptive.SNR_SEARCH_STEP_DB)
+    sers = symbol_error_rate(params, rf, grid, trials, seed)
+    return next(snr for snr, ser in zip(grid, sers) if ser <= target_ser)
+
+
 class TestCalibration:
     def test_rejects_insufficient_trials(self):
         with pytest.raises(ValueError):
@@ -189,6 +196,14 @@ class TestCalibration:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             calibrate_thresholds([SF7], target_ser=1e-2, trials=2000, seed=-1)
+
+    def test_rejects_unknown_beta_before_any_pass(self, monkeypatch):
+        def engine(*args):
+            raise AssertionError("engine called")
+
+        monkeypatch.setattr(adaptive, "symbol_error_rate", engine)
+        with pytest.raises(ValueError, match="beta must be one of"):
+            calibrate_thresholds([SF7], betas=(1.0, 0.3), target_ser=1e-2, trials=2000, seed=0)
 
     def test_deterministic_and_monotone_small_config(self):
         kwargs = dict(betas=(1.0, 0.75, 0.5), target_ser=1e-2, trials=2000, seed=9)
@@ -211,30 +226,32 @@ class TestCalibration:
         # the bound's grid threshold (-11.5 dB) lies one step above the engine's (-12.0 dB)
         pytest.param(9, 0.625, 11, 1e-2, 2000, id="9-0.625-11"),
         pytest.param(7, 0.75, 5, 1e-3, 10_000, id="7-0.75-5-target-1e-3"),
+        # at high target SER the bound is loose and the window misses, except at 7-0.5-1-target-0.1
+        pytest.param(7, 1.0, 1, 0.3, 2000, id="7-1.0-1-target-0.3"),
+        pytest.param(7, 0.5, 1, 0.1, 2000, id="7-0.5-1-target-0.1"),
+        pytest.param(9, 0.875, 1, 0.1, 2000, id="9-0.875-1-target-0.1"),
+        pytest.param(9, 0.5, 1, 0.3, 2000, id="9-0.5-1-target-0.3"),
     ])
     def test_search_matches_full_grid_within_probe_bound(self, monkeypatch, sf, beta, seed, target_ser, trials):
-        # streams do not depend on the SNR, so one engine call over the whole grid is the oracle
         params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
-        grid = snr_grid(adaptive.SNR_SEARCH_MIN_DB, adaptive.SNR_SEARCH_MAX_DB, adaptive.SNR_SEARCH_STEP_DB)
-        sers = symbol_error_rate(params, rf, grid, trials, seed)
-        expected = next(snr for snr, ser in zip(grid, sers) if ser <= target_ser)
+        expected = full_grid_threshold(params, rf, target_ser, trials, seed)
         probes, probe = [], adaptive.symbol_error_rate
         monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: probes.append(args[2]) or probe(*args))
         assert adaptive._required_snr(params, rf, target_ser, trials, seed) == expected
         assert len(probes) <= 3
 
-    def test_window_miss_falls_back_to_two_pass_search(self, monkeypatch):
+    def test_window_miss_matches_full_grid(self, monkeypatch):
         # at target SER 0.1 the union bound is loose: the threshold lies below the predicted window
         params, rf, target_ser, trials, seed = SF7, ReductionFactor(1.0), 0.1, 2000, 0
+        expected = full_grid_threshold(params, rf, target_ser, trials, seed)
         probes, probe = [], adaptive.symbol_error_rate
         monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: probes.append(args[2]) or probe(*args))
-        required = adaptive._required_snr(params, rf, target_ser, trials, seed)
-        assert len(probes) == 3  # the window, then both passes of the fallback
-        assert required == adaptive._two_pass_search(params, rf, target_ser, trials, seed)
+        assert adaptive._required_snr(params, rf, target_ser, trials, seed) == expected
+        assert len(probes) == 3  # the window, the strided points of the bracket, then the points left
 
     def test_two_pass_search_finds_every_step(self, monkeypatch):
         # a step SER that passes from grid index first on; first = len(grid) never passes. The predicted
-        # window answers a step inside it in one pass; any other step falls back to the two-pass search
+        # window answers a step inside it in one pass; any other step narrows the bracket the window left
         grid = snr_grid(adaptive.SNR_SEARCH_MIN_DB, adaptive.SNR_SEARCH_MAX_DB, adaptive.SNR_SEARCH_STEP_DB)
         assert len(grid) == 71
         for first in range(len(grid) + 1):
@@ -255,9 +272,12 @@ class TestCalibration:
             if (window[0] < first or window[0] == 0) and first <= window[-1]:
                 assert len(passes) == 1, first
             else:
-                # the window, then at most 9 coarse and 7 fine points of the two-pass search
+                # the window (indices 41-44), then every isqrt(gap)-th index of the bracket and the indices
+                # left: 6 + 5 below the window (bracket -1 to 41), 5 + 4 above it (44 to 71)
                 assert len(passes) <= 3, first
-                assert sum(map(len, passes)) <= 4 + 16, first
+                assert sum(map(len, passes)) <= 4 + 11, first
+            scored = [index for indices in passes for index in indices]
+            assert len(set(scored)) == len(scored), first
 
     def test_unreachable_target_raises(self, monkeypatch):
         monkeypatch.setattr(adaptive, "SNR_SEARCH_MAX_DB", -25.0)

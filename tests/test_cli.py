@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chirplab import cli, iqfile
+from chirplab import cli, experiments, iqfile
 from chirplab.adaptive import TABLE_CSV_COLUMNS
 from chirplab.chirps import IqBuffer, LoraParams, ReductionFactor, base_upchirp, shifted_upchirp
 from chirplab.framing import FrameSpec, build_frame
@@ -269,6 +269,15 @@ class TestSweepCommands:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 2
         assert float(rows[1]["ser"]) > float(rows[0]["ser"])
+
+    def test_ber_sweep_rejects_unknown_sf_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "run_error_trials", lambda *args: calls.append(args) or [])
+        code, _, err = run(capsys, "ber-sweep", "--sf", "7,13", "--betas", "1.0", "--trials", 200000,
+                           "--out", tmp_path / "x.csv")
+        assert code == 1
+        assert "sf 13" in err
+        assert calls == []
 
     def test_peak_experiment_csv(self, tmp_path, capsys):
         out = tmp_path / "peak.csv"

@@ -36,6 +36,7 @@ class TestExperimentConfig:
         dict(snr_start_db=float("nan")),
         dict(snr_step_db=float("nan")),
         dict(seed=-1),
+        dict(sf_list=(7, 13)),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
