@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .channel import check_seed
-from .chirps import BETA_TABLE, SPREADING_FACTORS, LoraParams, ReductionFactor
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor
 from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate, union_bound_ser
 
 DEFAULT_TARGET_SER = 1e-3
@@ -50,18 +50,18 @@ class ThresholdTable:
     def validate(self):
         """Check the values a calibration can produce and both monotonicity invariants; raises ValueError.
 
-        target_ser must lie in (0, 1), trials reach 10 / target_ser, seed be
-        >= 0, every sf lie in SPREADING_FACTORS, every beta in BETA_TABLE and
-        every threshold be finite.
+        target_ser must lie in (0, 1), trials reach 10 / target_ser, the seed
+        pass check_seed, every sf pass LoraParams, every beta ReductionFactor
+        and every threshold be finite.
         """
         _check_target_ser(self.target_ser)
         _check_trials(self.trials, self.target_ser)
         check_seed(self.seed)
         for (sf, beta), req in self.entries.items():
-            if sf not in SPREADING_FACTORS or beta not in BETA_TABLE or not math.isfinite(req):
-                raise ValueError(f"threshold {req} for sf={sf}, beta={beta} is not a calibrated value: "
-                                 f"sf must be one of {SPREADING_FACTORS}, beta one of {BETA_TABLE}, "
-                                 f"and the threshold finite")
+            LoraParams(sf, BANDWIDTHS_HZ[0])
+            ReductionFactor(beta)
+            if not math.isfinite(req):
+                raise ValueError(f"threshold {req} for sf={sf}, beta={beta} is not finite")
         _check_non_increasing(((sf, beta, req) for (sf, beta), req in self.entries.items()), "beta", "sf")
         _check_non_increasing(((beta, sf, req) for (sf, beta), req in self.entries.items()), "sf", "beta")
 
@@ -208,15 +208,15 @@ def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAU
 
     Each threshold is the smallest point of the fixed search grid (SNR_SEARCH_*)
     at which the SER is at most target_ser, which must lie in (0, 1), with
-    trials >= 10 / target_ser and seed >= 0.
+    trials >= 10 / target_ser, an integer seed >= 0 and no sf or beta twice.
     """
-    params_set, betas = tuple(params_set), tuple(betas)
-    if not (params_set and betas):
-        raise ValueError("calibration needs at least one sf and one beta")
+    params_set, rfs = tuple(params_set), [ReductionFactor(beta) for beta in betas]
+    for name, values in (("sf", [params.sf for params in params_set]), ("beta", [rf.beta for rf in rfs])):
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"calibration needs at least one {name} and none twice, got {values}")
     _check_target_ser(target_ser)
     _check_trials(trials, target_ser)
     check_seed(seed)
-    rfs = [ReductionFactor(beta) for beta in betas]  # every beta checked before the first engine pass
     entries = {}
     for params in params_set:
         for rf in rfs:

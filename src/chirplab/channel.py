@@ -9,6 +9,7 @@ reproduces the same waveform.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,25 +22,27 @@ from .modem import DemodResult
 MIN_SNR_DB = -300.0
 
 
-def check_seed(seed: int):
-    """Raise ValueError unless the seed is >= 0; SeedSequence takes no negative entropy."""
+def check_seed(seed: int) -> int:
+    """The seed as an int; ValueError unless it is an integer >= 0 (SeedSequence takes no negative entropy)."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """Per-sample SNR in dB plus the seed that fully determines the noise.
 
-    snr_db = inf means noiseless; NaN or a negative seed raises ValueError.
+    snr_db = inf means noiseless; an SNR noise_scale rejects or a seed check_seed rejects raises ValueError.
     """
 
     snr_db: float
     seed: int
 
     def __post_init__(self):
-        if math.isnan(self.snr_db):
-            raise ValueError("channel SNR must be a number, got NaN")
+        noise_scale(self.snr_db)
         check_seed(self.seed)
 
 

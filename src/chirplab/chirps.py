@@ -22,16 +22,17 @@ BETA_TABLE = (1.0, 0.875, 0.75, 0.625, 0.5)
 
 @dataclass(frozen=True)
 class LoraParams:
-    """Spreading factor, bandwidth, and the symbol timing they induce."""
+    """Spreading factor, bandwidth, and the symbol timing they induce; an integral sf such as 7.0 is stored as int."""
 
     sf: int
     bw: float
 
     def __post_init__(self):
         if self.sf not in SPREADING_FACTORS:
-            raise ValueError(f"sf must be one of {SPREADING_FACTORS}, got {self.sf}")
+            raise ValueError(f"sf {self.sf} is not one of {SPREADING_FACTORS}")
         if float(self.bw) not in BANDWIDTHS_HZ:
             raise ValueError(f"bw must be one of {BANDWIDTHS_HZ} Hz, got {self.bw}")
+        object.__setattr__(self, "sf", int(self.sf))
         object.__setattr__(self, "bw", float(self.bw))
 
     @property
@@ -57,7 +58,7 @@ class LoraParams:
 
 @dataclass(frozen=True)
 class ReductionFactor:
-    """Symbol-period reduction factor beta and its header index code."""
+    """Symbol-period reduction factor beta, stored as float, and its header index code."""
 
     beta: float
     index: int = field(init=False)
@@ -65,6 +66,7 @@ class ReductionFactor:
     def __post_init__(self):
         if self.beta not in BETA_TABLE:
             raise ValueError(f"beta must be one of {BETA_TABLE}, got {self.beta}")
+        object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "index", BETA_TABLE.index(self.beta))
 
     @classmethod

@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass
 
 from .channel import check_seed
-from .chirps import BANDWIDTHS_HZ, BETA_TABLE, SPREADING_FACTORS, LoraParams, ReductionFactor
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor
 from .montecarlo import STREAM_VERSION, peak_statistics, run_error_trials, snr_grid
 
 PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed", "stream")
@@ -34,20 +34,14 @@ class ExperimentConfig:
     bins_csv: str = ""
 
     def __post_init__(self):
-        self.sf_list = tuple(int(sf) for sf in self.sf_list)
-        self.beta_list = tuple(float(b) for b in self.beta_list)
+        self.sf_list = tuple(LoraParams(sf, BANDWIDTHS_HZ[0]).sf for sf in self.sf_list)
+        self.beta_list = tuple(ReductionFactor(b).beta for b in self.beta_list)
         if not (self.sf_list and self.beta_list):
             raise ValueError("a sweep needs at least one sf and one beta")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_seed(self.seed)
         self.snr_values()  # raises ValueError on a bad SNR range
-        for sf in self.sf_list:
-            if sf not in SPREADING_FACTORS:
-                raise ValueError(f"sf {sf} not in allowed set {SPREADING_FACTORS}")
-        for beta in self.beta_list:
-            if beta not in BETA_TABLE:
-                raise ValueError(f"beta {beta} not in allowed set {BETA_TABLE}")
 
     def snr_values(self) -> list[float]:
         return snr_grid(self.snr_start_db, self.snr_stop_db, self.snr_step_db)

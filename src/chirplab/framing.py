@@ -25,7 +25,6 @@ from .chirps import (
     _base_ramp,
 )
 from .modem import (
-    NOISE_FLOOR_MIN,
     DemodResult,
     _peak_and_floor,
     _window_spectra,
@@ -229,8 +228,8 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
             for lo in range(0, len(candidates), block):
                 starts = candidates[lo: lo + block]
                 run_windows = buf.samples[starts[:, None] + span].reshape(-1, n)
-                bins, peaks, floors = _peak_and_floor(_window_spectra(run_windows, params))
-                hit = (bins == 0) & (peaks / np.maximum(floors, NOISE_FLOOR_MIN) >= PREAMBLE_PEAK_RATIO)
+                bins, _, _, ratios = _peak_and_floor(_window_spectra(run_windows, params))
+                hit = (bins == 0) & (ratios >= PREAMBLE_PEAK_RATIO)
                 complete = hit.reshape(len(starts), need).all(axis=1)
                 if complete.any():
                     return int(starts[complete.argmax()])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .chirps import IqBuffer, LoraParams, ReductionFactor, _base_ramp
 
-# Floor clamp for the SNR estimate; keeps log10 finite when the non-peak
+# Floor clamp of the peak-over-floor ratio; keeps it finite when the non-peak
 # bins are numerically zero (noiseless input).
 NOISE_FLOOR_MIN = 1e-12
 
@@ -81,13 +81,14 @@ def decide_symbols(windows: np.ndarray, params: LoraParams) -> np.ndarray:
     return mags.argmax(axis=1)
 
 
-def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of a (count, n) magnitude block: argmax bin, its magnitude, and the noise floor.
+def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a (count, n) magnitude block: argmax bin, its magnitude, the noise floor, and their ratio.
 
     The floor is the median of the n - 1 bins other than the peak. n is even
     (a power of two), so that median is a single order statistic, and since
     the peak is a row maximum, it is also order statistic (n - 2) // 2 of the
-    whole row: one partition, with no masked copy.
+    whole row: one partition, with no masked copy. The ratio is the peak over
+    the floor clamped at NOISE_FLOOR_MIN.
     """
     count, n = mags.shape
     # argmax takes the lowest bin on ties
@@ -95,13 +96,13 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     peaks = mags[np.arange(count), bins]
     mid = (n - 2) // 2
     floors = np.partition(mags, mid, axis=1)[:, mid]
-    return bins, peaks, floors
+    return bins, peaks, floors, peaks / np.maximum(floors, NOISE_FLOOR_MIN)
 
 
 def _results_from_spectra(mags: np.ndarray) -> list[DemodResult]:
-    symbols, peaks, floors = _peak_and_floor(mags)
-    # both clamped: a zero-signal window reports 0 dB margin instead of -inf
-    snr_db = 20.0 * np.log10(np.maximum(peaks, NOISE_FLOOR_MIN) / np.maximum(floors, NOISE_FLOOR_MIN))
+    symbols, peaks, floors, ratios = _peak_and_floor(mags)
+    # the peak is a row maximum, so only a peak under the clamp reads below 1: 0 dB, not -inf
+    snr_db = 20.0 * np.log10(np.maximum(ratios, 1.0))
     return [
         DemodResult(int(s), float(p), float(f), float(d))
         for s, p, f, d in zip(symbols, peaks, floors, snr_db)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .channel import noise_scale
+from .channel import check_seed, noise_scale
 from .chirps import LoraParams, ReductionFactor
 from .modem import bit_errors
 
@@ -63,8 +63,8 @@ def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
 
 
 def derive_rng(master_seed: int, tag: int, sf: int, beta: float) -> np.random.Generator:
-    """Philox generator for one (sf, beta) evaluation under a master seed and stream tag."""
-    entropy = [int(master_seed), int(tag), int(sf), round(beta * 1000)]
+    """Philox generator for one (sf, beta) evaluation under a master seed (an integer >= 0) and stream tag."""
+    entropy = [check_seed(master_seed), int(tag), int(sf), round(beta * 1000)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 

@@ -205,6 +205,20 @@ class TestCalibration:
         with pytest.raises(ValueError, match="beta must be one of"):
             calibrate_thresholds([SF7], betas=(1.0, 0.3), target_ser=1e-2, trials=2000, seed=0)
 
+    @pytest.mark.parametrize("sfs, betas", [((7, 7), (1.0,)), ((7, 9), (1.0, 0.5, 1.0)), ((7, 7.0), (1.0, 1))])
+    def test_rejects_repeats_before_any_pass(self, monkeypatch, sfs, betas):
+        calls = []
+        monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: calls.append(args) or [])
+        params_set = [LoraParams(sf=sf, bw=125e3) for sf in sfs]
+        with pytest.raises(ValueError, match="twice"):
+            calibrate_thresholds(params_set, betas=betas, target_ser=1e-2, trials=2000, seed=0)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, "1"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            calibrate_thresholds([SF7], target_ser=1e-2, trials=2000, seed=seed)
+
     def test_deterministic_and_monotone_small_config(self):
         kwargs = dict(betas=(1.0, 0.75, 0.5), target_ser=1e-2, trials=2000, seed=9)
         table1 = calibrate_thresholds([SF7], **kwargs)

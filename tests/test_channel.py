@@ -71,6 +71,19 @@ class TestNoiseScale:
             noise_scale(snr_db)
 
 
+class TestChannelConfig:
+    @pytest.mark.parametrize("snr_db, seed", [
+        (float("nan"), 0),
+        (float("-inf"), 0),
+        (-400.0, 0),
+        (0.0, -1),
+        (0.0, 1.7),
+    ])
+    def test_rejects_what_noise_scale_or_check_seed_rejects(self, snr_db, seed):
+        with pytest.raises(ValueError):
+            ChannelConfig(snr_db=snr_db, seed=seed)
+
+
 class TestSnrEstimate:
     def test_single_result_formula(self):
         res = DemodResult(symbol=0, peak_magnitude=128.0, noise_floor=1.0,

@@ -32,10 +32,17 @@ class TestLoraParams:
         params = LoraParams(sf=sf, bw=bw)
         assert params.n == 2**sf
 
-    @pytest.mark.parametrize("sf,bw", [(6, 125e3), (13, 125e3), (7, 100e3), (7, 0.0)])
+    @pytest.mark.parametrize("sf,bw", [(6, 125e3), (13, 125e3), (7, 100e3), (7, 0.0), (7.5, 125e3), ("7", 125e3)])
     def test_rejects_out_of_range(self, sf, bw):
         with pytest.raises(ValueError):
             LoraParams(sf=sf, bw=bw)
+
+    @pytest.mark.parametrize("sf", [7.0, np.int64(7)])
+    def test_integral_sf_is_stored_as_int(self, sf):
+        params = LoraParams(sf=sf, bw=125e3)
+        assert params.n == 128
+        assert type(params.sf) is int
+        assert params == SF7
 
 
 class TestReductionFactor:
@@ -59,6 +66,10 @@ class TestReductionFactor:
 
     def test_reduced_period(self):
         assert ReductionFactor(0.875).t_s_reduced(SF7) == 0.875 * SF7.t_s
+
+    def test_beta_is_stored_as_float(self):
+        assert type(ReductionFactor(1).beta) is float
+        assert ReductionFactor(1) == ReductionFactor(1.0)
 
     @pytest.mark.parametrize("beta", [0.9, 0.0, 1.5, -0.5])
     def test_rejects_bad_beta(self, beta):

@@ -508,6 +508,8 @@ MALFORMED_ARGV = [
     ("calibrate --betas 0.9 --out {d}/x.csv", 1),
     ("calibrate --betas= --out {d}/x.csv", 1),
     ("calibrate --seed -1 --out {d}/x.csv", 1),
+    ("calibrate --sf 7,7 --out {d}/x.csv", 1),
+    ("calibrate --betas 1.0,1.0 --out {d}/x.csv", 1),
     ("calibrate --out", 2),
     ("calibrate --bw 250000 --out {d}/x.csv", 2),
     ("select --table {d}/dup.csv --in {d}/history.txt --sf 7", 1),

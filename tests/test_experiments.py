@@ -1,5 +1,6 @@
 import csv
 
+import numpy as np
 import pytest
 
 from chirplab.experiments import (
@@ -37,10 +38,17 @@ class TestExperimentConfig:
         dict(snr_step_db=float("nan")),
         dict(seed=-1),
         dict(sf_list=(7, 13)),
+        dict(sf_list=(7.9,)),
+        dict(seed=1.7),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             peak_cfg(**kwargs)
+
+    def test_grid_values_take_their_types(self):
+        cfg = peak_cfg(sf_list=(7.0, np.int64(9)), beta_list=(1, 0.5))
+        assert cfg.sf_list == (7, 9) and all(type(sf) is int for sf in cfg.sf_list)
+        assert cfg.beta_list == (1.0, 0.5) and all(type(beta) is float for beta in cfg.beta_list)
 
 
 class TestPeakExperiment:

@@ -192,6 +192,11 @@ class TestPeakAndFloor:
                 np.testing.assert_array_equal(got, want)
                 assert got.dtype == want.dtype
 
+    def test_ratio_clamps_the_floor(self):
+        mags = np.array([[0.0, 0.0, 0.0, 0.0], [8.0, 2.0, 4.0, 0.0], [1e-13, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0]])
+        *_, ratios = _peak_and_floor(mags)
+        np.testing.assert_array_equal(ratios, [0.0, 4.0, 1e-13 / 1e-12, 3e12])
+
 
 class TestDemodulate:
     @pytest.mark.parametrize("sf", [7, 8, 9, 10, 11, 12])

@@ -89,6 +89,13 @@ def test_mean_peak_matches_gathered_engine():
     assert abs(z) <= Z_999, (mean_peak, peaks.mean())
 
 
+@pytest.mark.parametrize("seed", [-1, 1.7, 1.0])
+def test_derive_rng_rejects_what_check_seed_rejects(seed):
+    # a truncated 1.7 would draw seed 1's stream under another seed's name
+    with pytest.raises(ValueError, match="seed must be"):
+        montecarlo.derive_rng(seed, TAG_CALIBRATION, 7, 1.0)
+
+
 def test_symbol_error_rate_per_point_ignores_its_companions(monkeypatch):
     # calibration scores a block of grid points per pass; each SER must equal that point scored alone
     params, rf, snrs, trials = LoraParams(sf=7, bw=125e3), ReductionFactor(0.75), [-9.0, -7.5, -6.0], 3000
