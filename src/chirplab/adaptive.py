@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .channel import check_seed
 from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate, union_bound_ser
+from .montecarlo import STREAM_VERSION, check_trials, snr_grid, symbol_error_rate, union_bound_ser
 
 DEFAULT_TARGET_SER = 1e-3
 DEFAULT_SAFETY_MARGIN_DB = 2.0
@@ -116,9 +116,13 @@ def _check_target_ser(target_ser: float):
 
 
 def _check_trials(trials: int, target_ser: float):
-    """Raise ValueError unless trials reach 10 / target_ser: fewer expect under 10 errors at the target."""
+    """Raise ValueError unless trials reach 10 / target_ser and pass check_trials.
+
+    Fewer trials expect under 10 errors at the target.
+    """
     if trials < 10 / target_ser:
         raise ValueError(f"need at least {10 / target_ser:.0f} trials to resolve SER {target_ser}, got {trials}")
+    check_trials(trials)
 
 
 def _check_non_increasing(triples, along: str, at: str):

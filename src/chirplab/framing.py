@@ -75,7 +75,7 @@ class FrameSpec:
     preamble_len: int = DEFAULT_PREAMBLE_LEN
 
     def __post_init__(self):
-        object.__setattr__(self, "payload", tuple(int(s) for s in self.payload))
+        object.__setattr__(self, "payload", tuple(self.payload))
         _check_preamble_len(self.preamble_len)
 
     def header_symbols(self, params: LoraParams) -> tuple[int, int, int]:

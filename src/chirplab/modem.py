@@ -34,8 +34,15 @@ class DemodResult:
 
 
 def modulate(symbols, params: LoraParams, rf: ReductionFactor) -> IqBuffer:
-    """Concatenate the first m samples of the shifted upchirp for each symbol."""
-    symbols = np.asarray(symbols, dtype=np.int64)
+    """Concatenate the first m samples of the shifted upchirp for each symbol.
+
+    ValueError unless every symbol is an integer in [0, n); an integral float such as 7.0 counts as 7.
+    """
+    values = np.asarray(symbols)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the comparison rejects
+        symbols = values.astype(np.int64)
+    if not np.array_equal(symbols, values):
+        raise ValueError("symbols must be integers")
     n = params.n
     if symbols.size and (symbols.min() < 0 or symbols.max() >= n):
         raise ValueError(f"symbols must be in [0, {n})")

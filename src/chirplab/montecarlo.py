@@ -13,17 +13,19 @@ and the SNR fix every result here: the bandwidth only names the sample rate,
 and any valid LoraParams bandwidth gives the same bytes.
 
 Seed splitting: every (sf, beta) evaluation under a stream tag owns an
-independent Philox stream derived from SeedSequence([master_seed, stream_tag,
+independent SFC64 stream derived from SeedSequence([master_seed, stream_tag,
 sf, beta_milli]). The SNR is not in the key: each chunk draws unit-variance
 noise once and every SNR point scales that same noise, so a row does not
 depend on which other SNRs were requested, and one pass over a stream scores
 any number of SNR points (the calibration search scores a block of its grid
-per pass). Chunks hold max(1, 2**17 // n) trials, so one complex array is
-2 MB at every sf; the chunk size is part of the stream (STREAM_VERSION).
+per pass). Chunks hold max(1, 2**15 // n) trials (256 at sf 7, 32 at sf 10,
+8 at sf 12), so one complex array is 512 KB at every sf; the chunk size is
+part of the stream (STREAM_VERSION).
 """
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -37,14 +39,14 @@ from .chirps import _base_ramp  # noqa: F401
 from .modem import decide_symbols  # noqa: F401
 
 # Version of the mapping from (seed, parameters) to output bytes; written in every CSV.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # Stream tags decouple experiments that share a master seed.
 TAG_PEAK = 0
 TAG_BER = 1
 TAG_CALIBRATION = 2
 
-_CHUNK_SAMPLES = 1 << 17
+_CHUNK_SAMPLES = 1 << 15
 
 
 def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
@@ -62,14 +64,23 @@ def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
     return points
 
 
+def check_trials(trials: int) -> int:
+    """The trial count as an int; ValueError unless it is an integer >= 1."""
+    if not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    return int(trials)
+
+
 def derive_rng(master_seed: int, tag: int, sf: int, beta: float) -> np.random.Generator:
-    """Philox generator for one (sf, beta) evaluation under a master seed (an integer >= 0) and stream tag."""
+    """SFC64 generator for one (sf, beta) evaluation under a master seed (an integer >= 0) and stream tag."""
     entropy = [check_seed(master_seed), int(tag), int(sf), round(beta * 1000)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 def _received(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int, master_seed: int, tag: int):
-    """Yield (i, sent, mags) per chunk of at most max(1, 2**17 // n) trials and per SNR point snrs_db[i].
+    """Yield (i, sent, mags) per chunk of at most max(1, 2**15 // n) trials and per SNR point snrs_db[i].
 
     sent holds random symbols, and mags the bin magnitudes |S + sigma * W|
     with S the dechirped symbol 0 (the n-point transform of m ones), W the
@@ -78,8 +89,7 @@ def _received(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int, mas
     component. Each chunk draws symbols, then noise, from the evaluation's
     own stream, so results depend only on the seed and the fixed chunk size.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_trials(trials)
     scales = [noise_scale(snr_db) for snr_db in snrs_db]
     rng = derive_rng(master_seed, tag, params.sf, rf.beta)
     n, m = params.n, rf.m(params)

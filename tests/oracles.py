@@ -75,6 +75,40 @@ def orthogonal_subset_ser(sf: int, beta: float, snr_db: float) -> float:
     return _orthogonal_ser(math.gcd(m, n), m * 10.0 ** (snr_db / 10.0))
 
 
+def pairwise_errors(sf: int, beta: float, snr_db: float) -> np.ndarray:
+    """The terms union_bound_ser sums, one per offset k = 1 .. n - 1: P(bin k beats bin 0).
+
+    Each is computed on its own, with |rho_k| from the closed form of the
+    Dirichlet kernel, |sin(pi k m / n) / (m sin(pi k / n))|.
+    """
+    n = 1 << sf
+    m = round(beta * n)
+    es_n0 = m * 10.0 ** (snr_db / 10.0)
+    k = np.arange(1, n)
+    rho = np.abs(np.sin(np.pi * k * m / n) / (m * np.sin(np.pi * k / n)))
+    root = np.sqrt(1.0 - rho * rho)
+    a, b = np.sqrt(es_n0 / 2.0 * (1.0 - root)), np.sqrt(es_n0 / 2.0 * (1.0 + root))
+    return marcum_q1(a, b) - 0.5 * np.exp(log_i0(a * b) - (a * a + b * b) / 2.0)
+
+
+def mean_bit_distance(sf: int) -> np.ndarray:
+    """Per offset k in [0, n): the natural-binary Hamming distance from s to (s + k) mod n, averaged over all s."""
+    n = 1 << sf
+    s = np.arange(n)
+    diff = s ^ ((s[:, None] + s) % n)  # row k holds s XOR (s + k) mod n
+    return sum((diff >> bit) & 1 for bit in range(sf)).mean(axis=1)
+
+
+def union_bound_ber(sf: int, beta: float, snr_db: float) -> float:
+    """Union upper bound on the natural-binary bit error rate of dechirp-and-argmax detection.
+
+    The symbol is uniform and the decision error offset does not depend on
+    it, so an error at offset k costs mean_bit_distance(sf)[k] of sf bits on
+    average; weighting each pairwise term by that cost bounds the BER.
+    """
+    return float(pairwise_errors(sf, beta, snr_db) @ mean_bit_distance(sf)[1:]) / sf
+
+
 def alias(freq_hz, fs_hz: float):
     """Wrap frequencies into the principal band (-fs/2, fs/2]."""
     wrapped = np.mod(np.asarray(freq_hz, dtype=float) + fs_hz / 2, fs_hz) - fs_hz / 2

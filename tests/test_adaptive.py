@@ -214,6 +214,13 @@ class TestCalibration:
             calibrate_thresholds(params_set, betas=betas, target_ser=1e-2, trials=2000, seed=0)
         assert calls == []
 
+    @pytest.mark.parametrize("trials", [2000.5, 2000.0])
+    def test_rejects_non_integer_trials_before_any_pass(self, monkeypatch, trials):
+        # 2000.5 clears the 10 / target_ser rule; it used to reach the engine and die in range()
+        monkeypatch.setattr(adaptive, "symbol_error_rate", lambda *args: pytest.fail("engine called"))
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            calibrate_thresholds([SF7], target_ser=1e-2, trials=trials, seed=0)
+
     @pytest.mark.parametrize("seed", [1.7, 1.0, "1"])
     def test_rejects_non_integer_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):

@@ -40,6 +40,7 @@ class TestExperimentConfig:
         dict(sf_list=(7, 13)),
         dict(sf_list=(7.9,)),
         dict(seed=1.7),
+        dict(trials=2.5),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

@@ -79,6 +79,11 @@ class TestBuildFrame:
             overhead = len(buf) - 10 * spec.rf.m(SF7)
             assert overhead == int((8 + 2.25 + 3) * 128)
 
+    def test_rejects_fractional_payload_symbols(self):
+        # the payload used to be truncated to [7, 3] and sent without a word
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            build_frame(FrameSpec(payload=(7.9, 3.2), rf=FULL_PERIOD), SF7)
+
     def test_rejects_oversized_payload(self):
         spec = FrameSpec(payload=tuple([0] * 128), rf=FULL_PERIOD)
         with pytest.raises(ValueError):

@@ -49,6 +49,15 @@ class TestModulate:
         second = truncate(shifted_upchirp(SF7, 70), rf, SF7).samples
         np.testing.assert_array_equal(buf.samples, np.concatenate([first, second]))
 
+    @pytest.mark.parametrize("bad", [[7.9], [5, 3.2], [np.nan], [np.inf]])
+    def test_rejects_non_integral_symbols(self, bad):
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            modulate(bad, SF7, ReductionFactor(1.0))
+
+    def test_integral_float_symbols_are_their_integers(self):
+        rf = ReductionFactor(0.75)
+        np.testing.assert_array_equal(modulate([7.0, 70.0], SF7, rf).samples, modulate([7, 70], SF7, rf).samples)
+
     @pytest.mark.parametrize("bad", [[-1], [128], [5, 200]])
     def test_rejects_out_of_range_symbols(self, bad):
         with pytest.raises(ValueError):

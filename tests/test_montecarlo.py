@@ -1,5 +1,5 @@
 """The Monte-Carlo trial engine against analytic symbol error rates and the gathered-chirp engine."""
-from math import comb, erfc, sqrt
+from math import comb, erfc, log, sqrt
 
 import numpy as np
 import pytest
@@ -8,7 +8,16 @@ from chirplab import montecarlo
 from chirplab.chirps import BETA_TABLE, LoraParams, ReductionFactor
 from chirplab.montecarlo import TAG_CALIBRATION, peak_statistics, run_error_trials, symbol_error_rate
 
-from oracles import analytic_ser, gathered_trials, log_i0, marcum_q1, orthogonal_subset_ser, union_bound_ser
+from oracles import (
+    analytic_ser,
+    gathered_trials,
+    log_i0,
+    marcum_q1,
+    orthogonal_subset_ser,
+    pairwise_errors,
+    union_bound_ber,
+    union_bound_ser,
+)
 
 Z_999 = 3.2905  # two-sided 99.9% standard normal quantile
 TAIL_Z4 = erfc(4.0 / sqrt(2.0)) / 2.0  # P(Z >= 4) for a standard normal Z
@@ -60,6 +69,45 @@ def test_symbol_error_rate_within_analytic_bounds(sf, beta):
         lower = orthogonal_subset_ser(sf, beta, snr_db)
         assert binomial_tails(errors, trials, upper)[1] >= TAIL_Z4, (snr_db, ser, upper)
         assert binomial_tails(errors, trials, lower)[0] >= TAIL_Z4, (snr_db, ser, lower)
+
+
+def chernoff_tail(mean: float, trials: int, p: float) -> float:
+    """Bound on P(average >= mean) for `trials` independent variables in [0, 1] whose means are at most p.
+
+    That is exp(-trials KL(mean || p)) for mean > p (Hoeffding 1963, Theorem 1), and 1 otherwise.
+    """
+    if mean <= p:
+        return 1.0
+    kl = mean * log(mean / p) + ((1.0 - mean) * log((1.0 - mean) / (1.0 - p)) if mean < 1.0 else 0.0)
+    return float(np.exp(-trials * kl))
+
+
+@pytest.mark.parametrize("sf", [7, 9])
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_pairwise_errors_sum_to_union_bound(sf, beta):
+    for snr_db in (-12.0, -6.0, -2.0):
+        assert pairwise_errors(sf, beta, snr_db).sum() == pytest.approx(union_bound_ser(sf, beta, snr_db), rel=1e-9)
+
+
+@pytest.mark.parametrize("sf", [7, 8, 9])
+@pytest.mark.parametrize("beta", BETA_TABLE)
+def test_bit_error_rate_within_analytic_bound(sf, beta):
+    # the SNR points of the SER test above; each trial's share of wrong bits lies in [0, 1], so a one-sided
+    # tail of at most P(Z >= 4) is taken on the Chernoff bound, which holds for any such trials
+    params, rf, trials = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta), (1 << 21) >> sf
+    window = np.arange(-9.0, -1.0) - 3.0 * (sf - 7)
+    snrs = [snr_db for snr_db in window if 1e-4 <= union_bound_ser(sf, beta, snr_db) <= 1e-1]
+    assert len(snrs) >= 2
+    for snr_db, (_, ber) in zip(snrs, run_error_trials(params, rf, snrs, trials, 1)):
+        upper = union_bound_ber(sf, beta, snr_db)
+        assert chernoff_tail(ber, trials, upper) >= TAIL_Z4, (snr_db, ber, upper)
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, 2000.0])
+def test_engine_rejects_what_check_trials_rejects(trials):
+    # a float count used to pass the engine's own check and die in range() with a bare TypeError
+    with pytest.raises(ValueError, match="trials must be"):
+        run_error_trials(LoraParams(sf=7, bw=125e3), ReductionFactor(1.0), [0.0], trials, 1)
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, -9.0, -8.0])
