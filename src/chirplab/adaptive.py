@@ -50,12 +50,17 @@ class ThresholdTable:
     def validate(self):
         """Check the values a calibration can produce and both monotonicity invariants; raises ValueError.
 
-        target_ser must lie in (0, 1), trials reach 10 / target_ser, the seed
+        target_ser must lie in (0, 1), trials pass check_trials and reach
+        10 / target_ser (fewer expect under 10 errors at the target), the seed
         pass check_seed, every sf pass LoraParams, every beta ReductionFactor
         and every threshold be finite.
         """
-        _check_target_ser(self.target_ser)
-        _check_trials(self.trials, self.target_ser)
+        if not 0 < self.target_ser < 1:
+            raise ValueError(f"target SER must lie in (0, 1), got {self.target_ser}")
+        if self.trials < 10 / self.target_ser:
+            raise ValueError(f"need at least {10 / self.target_ser:.0f} trials to resolve SER {self.target_ser}, "
+                             f"got {self.trials}")
+        check_trials(self.trials)
         check_seed(self.seed)
         for (sf, beta), req in self.entries.items():
             LoraParams(sf, BANDWIDTHS_HZ[0])
@@ -76,53 +81,48 @@ class ThresholdTable:
     def read_csv(cls, path) -> "ThresholdTable":
         """Read a table written by write_csv; raises ValueError if it is malformed or inconsistent.
 
-        The table needs every column but the stream version and at least one
-        row, one target_ser, trials and seed shared by all rows, at most one
-        row per (sf, beta), and thresholds that pass validate(). A stream
-        column, if present, must read STREAM_VERSION in every row: other
-        streams calibrated other noise.
+        The table needs UTF-8 text, every column but the stream version, at
+        least one row, cells that convert (an error names the line and column),
+        one target_ser, trials and seed shared by all rows, at most one row per
+        (sf, beta), and thresholds that pass validate(). A stream column, if
+        present, must read STREAM_VERSION in every row: other streams
+        calibrated other noise.
         """
-        with open(path, newline="") as handle:
-            # restval: a short row reads as empty cells, which fail conversion
-            reader = csv.DictReader(handle, restval="")
-            missing = [name for name in TABLE_CSV_COLUMNS[:-1] if name not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"threshold table {path} lacks columns {missing}")
-            rows = list(reader)
+        try:
+            with open(path, newline="", encoding="utf-8") as handle:
+                # restval: a short row reads as empty cells, which fail conversion
+                reader = csv.DictReader(handle, restval="")
+                missing = [name for name in TABLE_CSV_COLUMNS[:-1] if name not in (reader.fieldnames or ())]
+                if missing:
+                    raise ValueError(f"threshold table {path} lacks columns {missing}")
+                rows = [(reader.line_num, row) for row in reader]
+        except UnicodeDecodeError:
+            raise ValueError(f"threshold table {path} is not UTF-8 text") from None
         if not rows:
             raise ValueError(f"threshold table {path} has no rows")
-        streams = {row.get("stream", str(STREAM_VERSION)) for row in rows}
+        streams = {row.get("stream", str(STREAM_VERSION)) for _, row in rows}
         if streams != {str(STREAM_VERSION)}:
             raise ValueError(f"threshold table {path} has stream versions {sorted(streams)}, "
                              f"not the supported {STREAM_VERSION}")
-        meta = [(float(row["target_ser"]), int(row["trials"]), int(row["seed"])) for row in rows]
-        entries = {}
-        for row in rows:
-            key = (int(row["sf"]), float(row["beta"]))
-            if key in entries:
-                raise ValueError(f"threshold table {path} lists sf={key[0]}, beta={key[1]} twice")
-            entries[key] = float(row["required_snr_db"])
-        target_ser, trials, seed = meta[0]
-        table = cls(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
+        entries, meta = {}, []
+        for line, row in rows:
+            cells = []
+            for column, kind in zip(TABLE_CSV_COLUMNS, (int, float, float, float, int, int)):
+                try:
+                    cells.append(kind(row[column]))
+                except ValueError:
+                    raise ValueError(f"threshold table {path}:{line}: {column}={row[column]!r} "
+                                     f"is not a valid {kind.__name__}") from None
+            sf, beta, req, *rest = cells
+            if (sf, beta) in entries:
+                raise ValueError(f"threshold table {path} lists sf={sf}, beta={beta} twice")
+            entries[(sf, beta)] = req
+            meta.append(tuple(rest))
+        table = cls(entries, *meta[0])
         table.validate()  # before the mix check: a NaN target_ser never equals itself
         if len(set(meta)) > 1:
             raise ValueError(f"threshold table {path} mixes (target_ser, trials, seed) values {sorted(set(meta))}")
         return table
-
-
-def _check_target_ser(target_ser: float):
-    if not 0 < target_ser < 1:
-        raise ValueError(f"target SER must lie in (0, 1), got {target_ser}")
-
-
-def _check_trials(trials: int, target_ser: float):
-    """Raise ValueError unless trials reach 10 / target_ser and pass check_trials.
-
-    Fewer trials expect under 10 errors at the target.
-    """
-    if trials < 10 / target_ser:
-        raise ValueError(f"need at least {10 / target_ser:.0f} trials to resolve SER {target_ser}, got {trials}")
-    check_trials(trials)
 
 
 def _check_non_increasing(triples, along: str, at: str):
@@ -211,21 +211,20 @@ def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAU
     """Monte-Carlo calibration of required SNR per (sf, beta); deterministic given seed.
 
     Each threshold is the smallest point of the fixed search grid (SNR_SEARCH_*)
-    at which the SER is at most target_ser, which must lie in (0, 1), with
-    trials >= 10 / target_ser, an integer seed >= 0 and no sf or beta twice.
+    at which the SER is at most target_ser. No sf or beta may repeat, and the
+    table must pass validate() both before the first engine pass and when full.
     """
     params_set, rfs = tuple(params_set), [ReductionFactor(beta) for beta in betas]
     for name, values in (("sf", [params.sf for params in params_set]), ("beta", [rf.beta for rf in rfs])):
         if not values or len(set(values)) < len(values):
             raise ValueError(f"calibration needs at least one {name} and none twice, got {values}")
-    _check_target_ser(target_ser)
-    _check_trials(trials, target_ser)
-    check_seed(seed)
-    entries = {}
+    table = ThresholdTable(entries={}, target_ser=target_ser, trials=trials, seed=seed)
+    table.validate()  # before any engine pass
     for params in params_set:
         for rf in rfs:
-            entries[(params.sf, rf.beta)] = _required_snr(params, rf, target_ser, trials, seed)
-    return ThresholdTable(entries=entries, target_ser=target_ser, trials=trials, seed=seed)
+            table.entries[(params.sf, rf.beta)] = _required_snr(params, rf, target_ser, trials, seed)
+    table.validate()
+    return table
 
 
 def select_beta(history: LinkHistory, table: ThresholdTable, sf: int,

@@ -45,14 +45,8 @@ def _params(args) -> LoraParams:
     return LoraParams(sf=args.sf, bw=args.bw)
 
 
-def _parse_payload(text: str, n: int) -> list[int]:
-    symbols = []
-    for tok in text.split():
-        value = int(tok, 0)  # decimal or 0x-prefixed hex
-        if not 0 <= value < n:
-            raise ValueError(f"payload symbol {tok} outside [0, {n})")
-        symbols.append(value)
-    return symbols
+def _parse_payload(text: str) -> list[int]:
+    return [int(tok, 0) for tok in text.split()]  # decimal or 0x-prefixed hex
 
 
 def _parse_list(text: str, kind) -> tuple:
@@ -83,8 +77,7 @@ def cmd_chirp(args) -> int:
 def cmd_mod(args) -> int:
     params = _params(args)
     rf = ReductionFactor(args.beta)
-    symbols = _parse_payload(args.payload, params.n)
-    buf = modem.modulate(symbols, params, rf)
+    buf = modem.modulate(_parse_payload(args.payload), params, rf)
     iqfile.write_iq(args.out, buf, {"sf": params.sf, "bw": params.bw, "beta": rf.beta})
     if args.freq_out:
         _write_freq_csv(args.freq_out, buf)
@@ -134,8 +127,7 @@ def cmd_toa(args) -> int:
 def cmd_frame_encode(args) -> int:
     params = _params(args)
     rf = ReductionFactor(args.beta)
-    payload = _parse_payload(args.payload, params.n)
-    spec = framing.FrameSpec(payload=tuple(payload), rf=rf, preamble_len=args.preamble_len)
+    spec = framing.FrameSpec(payload=_parse_payload(args.payload), rf=rf, preamble_len=args.preamble_len)
     buf = framing.build_frame(spec, params)
     if args.snr is not None:
         buf = channel.awgn(buf, channel.ChannelConfig(snr_db=args.snr, seed=args.seed))
@@ -184,7 +176,6 @@ def cmd_calibrate(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    table.validate()
     table.write_csv(args.out)
     return 0
 
@@ -192,11 +183,16 @@ def cmd_calibrate(args) -> int:
 def cmd_select(args) -> int:
     table = adaptive.ThresholdTable.read_csv(args.table)
     history = adaptive.LinkHistory(capacity=args.capacity)
-    with open(args.in_path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                adaptive.record_packet(history, float(line))
+    try:
+        with open(args.in_path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(map(str.strip, handle), 1):
+                if line and not line.startswith("#"):
+                    try:
+                        adaptive.record_packet(history, float(line))
+                    except ValueError as exc:
+                        raise ValueError(f"{args.in_path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{args.in_path}: not UTF-8 text") from None
     try:
         rf = adaptive.select_beta(history, table, args.sf, args.margin_db)
     except KeyError as exc:  # the table lacks a threshold for this sf at beta = 1

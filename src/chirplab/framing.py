@@ -27,6 +27,7 @@ from .chirps import (
 from .modem import (
     DemodResult,
     _peak_and_floor,
+    _symbol_values,
     _window_spectra,
     demodulate,
     modulate,
@@ -79,13 +80,13 @@ class FrameSpec:
         _check_preamble_len(self.preamble_len)
 
     def header_symbols(self, params: LoraParams) -> tuple[int, int, int]:
-        """(length, beta index, checksum) for this spec; all in [0, n)."""
+        """(length, beta index, checksum), all in [0, n); ValueError for a payload build_frame cannot send."""
         n = params.n
-        if len(self.payload) >= n:
-            raise ValueError(f"payload of {len(self.payload)} symbols does not fit a length symbol (< {n})")
         length = len(self.payload)
-        checksum = (length + self.rf.index) % n
-        return length, self.rf.index, checksum
+        if length >= n:
+            raise ValueError(f"payload of {length} symbols does not fit a length symbol (< {n})")
+        _symbol_values(self.payload, n)
+        return length, self.rf.index, (length + self.rf.index) % n
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,8 @@ def build_frame(spec: FrameSpec, params: LoraParams) -> IqBuffer:
     header = spec.header_symbols(params)
     up = _base_ramp(n)
     # the downchirp spacer is the preamble section of a frame without upchirps
-    parts = [np.tile(up, spec.preamble_len), np.resize(np.conj(up), _preamble_samples(0, n))]
-    parts.append(modulate(header, params, FULL_PERIOD).samples)
-    if spec.payload:
-        parts.append(modulate(spec.payload, params, spec.rf).samples)
+    parts = [np.tile(up, spec.preamble_len), np.resize(np.conj(up), _preamble_samples(0, n)),
+             modulate(header, params, FULL_PERIOD).samples, modulate(spec.payload, params, spec.rf).samples]
     return IqBuffer(np.concatenate(parts), params.bw)
 
 
@@ -262,7 +261,7 @@ def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
 def time_on_air(spec: FrameSpec, params: LoraParams) -> AirtimeReport:
     """Airtime accounting from exact integer sample counts."""
     n = params.n
-    spec.header_symbols(params)  # validates payload length
+    spec.header_symbols(params)  # rejects what build_frame rejects
     m = spec.rf.m(params)
     preamble_samples = _preamble_samples(spec.preamble_len, n)
     header_samples = 3 * n

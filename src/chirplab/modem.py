@@ -33,24 +33,27 @@ class DemodResult:
     snr_estimate_db: float
 
 
-def modulate(symbols, params: LoraParams, rf: ReductionFactor) -> IqBuffer:
-    """Concatenate the first m samples of the shifted upchirp for each symbol.
-
-    ValueError unless every symbol is an integer in [0, n); an integral float such as 7.0 counts as 7.
-    """
+def _symbol_values(symbols, n: int) -> np.ndarray:
+    """The symbols as an int64 array: the symbol rule of modulate."""
     values = np.asarray(symbols)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the comparison rejects
         symbols = values.astype(np.int64)
     if not np.array_equal(symbols, values):
         raise ValueError("symbols must be integers")
+    outside = (symbols < 0) | (symbols >= n)
+    if outside.any():
+        raise ValueError(f"symbol {symbols[outside.argmax()]} outside [0, {n})")
+    return symbols
+
+
+def modulate(symbols, params: LoraParams, rf: ReductionFactor) -> IqBuffer:
+    """Concatenate the first m samples of the shifted upchirp for each symbol.
+
+    ValueError unless every symbol is an integer in [0, n); an integral float such as 7.0 counts as 7.
+    """
     n = params.n
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= n):
-        raise ValueError(f"symbols must be in [0, {n})")
-    m = rf.m(params)
-    if symbols.size == 0:
-        return IqBuffer(np.empty(0, dtype=np.complex128), params.bw)
-    ramp = _base_ramp(n)
-    rows = ramp[(np.arange(m)[None, :] + symbols[:, None]) % n]
+    symbols = _symbol_values(symbols, n)
+    rows = _base_ramp(n)[(np.arange(rf.m(params))[None, :] + symbols[:, None]) % n]
     return IqBuffer(rows.reshape(-1), params.bw)
 
 

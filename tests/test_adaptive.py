@@ -180,6 +180,26 @@ class TestThresholdTable:
         assert back.trials == table.trials
         assert back.seed == table.seed
 
+    @pytest.mark.parametrize("column, value", [("trials", "10000.5"), ("seed", "x"), ("sf", "7.5")])
+    def test_read_csv_names_path_line_and_column_of_a_bad_cell(self, tmp_path, column, value):
+        path = tmp_path / "table.csv"
+        table_from({1.0: -7.5, 0.5: -4.5}).write_csv(path)
+        lines = path.read_text().splitlines()
+        header, second = lines[0].split(","), lines[2].split(",")
+        second[header.index(column)] = value
+        lines[2] = ",".join(second)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            ThresholdTable.read_csv(path)
+        assert str(exc.value) == f"threshold table {path}:3: {column}={value!r} is not a valid int"
+
+    def test_read_csv_names_a_non_utf8_table(self, tmp_path):
+        path = tmp_path / "table.csv"
+        table_from({1.0: -7.5}).write_csv(path)
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(ValueError, match=f"threshold table {path} is not UTF-8 text"):
+            ThresholdTable.read_csv(path)
+
 
 def full_grid_threshold(params, rf, target_ser, trials, seed):
     """The search's oracle: streams do not depend on the SNR, so one engine call scores the whole grid."""
@@ -225,6 +245,12 @@ class TestCalibration:
     def test_rejects_non_integer_seed(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             calibrate_thresholds([SF7], target_ser=1e-2, trials=2000, seed=seed)
+
+    def test_rejects_a_non_monotone_result(self, monkeypatch):
+        # beta 0.5 needing less SNR than beta 1.0 is a table select_beta cannot rely on
+        monkeypatch.setattr(adaptive, "_required_snr", lambda params, rf, *args: {1.0: -5.0, 0.5: -7.0}[rf.beta])
+        with pytest.raises(ValueError, match="non-increasing in beta"):
+            calibrate_thresholds([SF7], betas=(1.0, 0.5), target_ser=1e-2, trials=2000, seed=0)
 
     def test_deterministic_and_monotone_small_config(self):
         kwargs = dict(betas=(1.0, 0.75, 0.5), target_ser=1e-2, trials=2000, seed=9)

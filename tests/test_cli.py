@@ -368,6 +368,24 @@ class TestCalibrateSelect:
         rows = [(*row[:3], "nan", *row[4:]) for row in self.GOOD]
         assert "target SER must lie in (0, 1), got nan" in self.select_error(tmp_path, capsys, rows)
 
+    @pytest.mark.parametrize("history, message", [
+        (b"-1.0\nabc\n", "{path}:2: could not convert string to float: 'abc'"),
+        (b"-1.0\n\n# note\nnan\n", "{path}:4: packet SNR is NaN"),
+        (b"-1.0\n\xff\n", "{path}: not UTF-8 text"),
+    ], ids=["bad-line", "nan-line", "not-utf8"])
+    def test_select_history_errors_name_the_file(self, tmp_path, capsys, history, message):
+        table, path = tmp_path / "table.csv", tmp_path / "history.txt"
+        write_table(table, self.GOOD)
+        path.write_bytes(history)
+        code, out, err = run(capsys, "select", "--table", table, "--in", path, "--sf", 7)
+        assert code == 1 and out == ""
+        assert err == f"error: {message.format(path=path)}\n"
+
+    def test_select_table_cell_error_names_the_table(self, tmp_path, capsys):
+        rows = [(*row[:4], "2000.5", *row[5:]) for row in self.GOOD]
+        err = self.select_error(tmp_path, capsys, rows)
+        assert err == f"error: threshold table {tmp_path / 'table.csv'}:2: trials='2000.5' is not a valid int\n"
+
     def test_select_over_calibrated_betas(self, tmp_path, capsys):
         # a table from `calibrate --betas 1.0,0.5`: 0.5 is the only truncation on offer
         code, out, _ = self.select(tmp_path, capsys, "-1.0\n", [self.GOOD[0], self.GOOD[4]])
@@ -437,10 +455,13 @@ def malformed_inputs(tmp_path_factory):
     write_table(root / "target_1.5.csv", [(*good[0][:3], 1.5, *good[0][4:])])
     write_table(root / "trials_-5.csv", [(*row[:4], -5, *row[5:]) for row in good])
     write_table(root / "seed_-3.csv", [(*row[:5], -3, *row[6:]) for row in good])
+    write_table(root / "trials_cell.csv", [(*row[:4], "10000.5", *row[5:]) for row in good])
+    (root / "not_utf8.csv").write_bytes((root / "good.csv").read_bytes() + b"\xff\n")
     (root / "history.txt").write_text("-1.0\n")
     (root / "bad_history.txt").write_text("-1.0\nloud\n")
     (root / "nan_first.txt").write_text("nan\n10\n")
     (root / "nan_last.txt").write_text("10\nnan\n")
+    (root / "not_utf8.txt").write_bytes(b"-1.0\n\xff\n")
     return root
 
 
@@ -522,7 +543,10 @@ MALFORMED_ARGV = [
     ("select --table {d}/target_1.5.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/trials_-5.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/seed_-3.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/trials_cell.csv --in {d}/history.txt --sf 7", 1),
+    ("select --table {d}/not_utf8.csv --in {d}/history.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/bad_history.txt --sf 7", 1),
+    ("select --table {d}/good.csv --in {d}/not_utf8.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/nan_first.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/nan_last.txt --sf 7", 1),
     ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --margin-db nan", 1),

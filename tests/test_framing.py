@@ -442,6 +442,16 @@ class TestAirtime:
         assert report.payload_s == pytest.approx(20 * 0.5 * t_s)
         assert report.effective_symbol_rate == pytest.approx(1 / (0.5 * t_s))
 
+    @pytest.mark.parametrize("payload", [(7.9,), (-1,), (128,), (np.nan,), (0,) * 128],
+                             ids=["fraction", "negative", "n", "nan", "n-zeros"])
+    def test_rejects_what_build_frame_rejects(self, payload):
+        # no airtime for a frame that cannot be built
+        spec = FrameSpec(payload=payload, rf=FULL_PERIOD)
+        with pytest.raises(ValueError):
+            build_frame(spec, SF7)
+        with pytest.raises(ValueError):
+            time_on_air(spec, SF7)
+
     def test_effective_rate_multiplier(self):
         base = time_on_air(FrameSpec(payload=(0,), rf=FULL_PERIOD), SF7)
         fast = time_on_air(FrameSpec(payload=(0,), rf=ReductionFactor(0.875)), SF7)
