@@ -39,11 +39,8 @@ from .modem import (
     DemodResult,
     LengthMismatchError,
     bit_errors,
-    dechirp,
     demodulate,
-    demodulate_symbol,
     modulate,
-    spectrum_magnitude,
     symbols_to_bits,
 )
 
@@ -74,10 +71,8 @@ __all__ = [
     "bit_errors",
     "build_frame",
     "calibrate_thresholds",
-    "dechirp",
     "decode_frame",
     "demodulate",
-    "demodulate_symbol",
     "detect_preamble",
     "instantaneous_frequency",
     "modulate",
@@ -87,7 +82,6 @@ __all__ = [
     "select_beta",
     "shifted_upchirp",
     "snr_estimate",
-    "spectrum_magnitude",
     "symbols_to_bits",
     "time_on_air",
     "time_saving",

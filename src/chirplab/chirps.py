@@ -123,16 +123,28 @@ def base_downchirp(params: LoraParams) -> IqBuffer:
     return IqBuffer(np.conj(_base_ramp(params.n)), params.bw)
 
 
+def _symbol_values(symbols, n: int) -> np.ndarray:
+    """The symbols as an int64 array: the one symbol rule, of modulate and shifted_upchirp."""
+    values = np.asarray(symbols)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the comparison rejects
+        symbols = values.astype(np.int64)
+    if not np.array_equal(symbols, values):
+        raise ValueError("symbols must be integers")
+    outside = (symbols < 0) | (symbols >= n)
+    if outside.any():
+        raise ValueError(f"symbol {symbols[outside.argmax()]} outside [0, {n})")
+    return symbols
+
+
 def shifted_upchirp(params: LoraParams, k: int) -> IqBuffer:
     """Cyclic-shifted upchirp encoding symbol k: sample[j] = upchirp[(j + k) mod n].
 
     Dechirping against the base downchirp collapses it to a pure tone at
-    FFT bin k (phase-coherent across the wrap because n is even).
+    FFT bin k (phase-coherent across the wrap because n is even). ValueError
+    unless k is an integer in [0, n); an integral float such as 7.0 counts as 7.
     """
-    n = params.n
-    if not 0 <= k < n:
-        raise ValueError(f"symbol index must be in [0, {n}), got {k}")
-    return IqBuffer(np.roll(_base_ramp(n), -int(k)), params.bw)
+    (k,) = _symbol_values([k], params.n)
+    return IqBuffer(np.roll(_base_ramp(params.n), -k), params.bw)
 
 
 def truncate(buf: IqBuffer, rf: ReductionFactor, params: LoraParams) -> IqBuffer:

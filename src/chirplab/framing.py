@@ -11,7 +11,8 @@ defined by chirps.BETA_TABLE (index i encodes beta = 1 - i/8).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,15 +24,9 @@ from .chirps import (
     LoraParams,
     ReductionFactor,
     _base_ramp,
-)
-from .modem import (
-    DemodResult,
-    _peak_and_floor,
     _symbol_values,
-    _window_spectra,
-    demodulate,
-    modulate,
 )
+from .modem import DemodResult, _peak_and_floor, _window_spectra, demodulate, modulate
 
 DEFAULT_PREAMBLE_LEN = 8
 # Minimum peak-over-floor ratio for a window to count as a preamble hit;
@@ -104,15 +99,15 @@ class AirtimeReport:
     preamble_s: float
     header_s: float
     payload_s: float
-    total_s: float = field(init=False)
-    saving_s: float = 0.0
-    effective_symbol_rate: float = 0.0
-    preamble_samples: int = 0
-    header_samples: int = 0
-    payload_samples: int = 0
+    saving_s: float
+    effective_symbol_rate: float
+    preamble_samples: int
+    header_samples: int
+    payload_samples: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "total_s", self.preamble_s + self.header_s + self.payload_s)
+    @property
+    def total_s(self) -> float:
+        return self.preamble_s + self.header_s + self.payload_s
 
     @property
     def total_samples(self) -> int:
@@ -238,7 +233,9 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
 
 def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
                  preamble_len: int = DEFAULT_PREAMBLE_LEN) -> tuple[list[int], ReductionFactor, FrameDiagnostics]:
-    """Decode header and payload of a frame whose preamble starts at offset."""
+    """Decode header and payload of a frame whose preamble starts at offset, an integer >= 0."""
+    if not isinstance(offset, numbers.Integral) or offset < 0:
+        raise ValueError(f"offset must be an integer >= 0, got {offset!r}")
     _check_preamble_len(preamble_len)
     n = params.n
     header_start = offset + _preamble_samples(preamble_len, n)

@@ -7,12 +7,13 @@ independent of the reduction factor.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .chirps import IqBuffer, LoraParams, ReductionFactor, _base_ramp
+from .chirps import IqBuffer, LoraParams, ReductionFactor, _base_ramp, _symbol_values
 
 # Floor clamp of the peak-over-floor ratio; keeps it finite when the non-peak
 # bins are numerically zero (noiseless input).
@@ -33,19 +34,6 @@ class DemodResult:
     snr_estimate_db: float
 
 
-def _symbol_values(symbols, n: int) -> np.ndarray:
-    """The symbols as an int64 array: the symbol rule of modulate."""
-    values = np.asarray(symbols)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the comparison rejects
-        symbols = values.astype(np.int64)
-    if not np.array_equal(symbols, values):
-        raise ValueError("symbols must be integers")
-    outside = (symbols < 0) | (symbols >= n)
-    if outside.any():
-        raise ValueError(f"symbol {symbols[outside.argmax()]} outside [0, {n})")
-    return symbols
-
-
 def modulate(symbols, params: LoraParams, rf: ReductionFactor) -> IqBuffer:
     """Concatenate the first m samples of the shifted upchirp for each symbol.
 
@@ -57,25 +45,12 @@ def modulate(symbols, params: LoraParams, rf: ReductionFactor) -> IqBuffer:
     return IqBuffer(rows.reshape(-1), params.bw)
 
 
-def dechirp(window: IqBuffer, params: LoraParams) -> IqBuffer:
-    """Multiply a window (at most one symbol long) by the leading base-downchirp samples."""
-    n = params.n
-    if len(window) > n:
-        raise ValueError(f"window of {len(window)} samples exceeds symbol length {n}")
-    down = np.conj(_base_ramp(n)[: len(window)])
-    return IqBuffer(window.samples * down, window.sample_rate)
-
-
-def spectrum_magnitude(dechirped: IqBuffer, params: LoraParams) -> np.ndarray:
-    """Magnitudes of the n-point transform of a dechirped window, zero-padded to n."""
-    n = params.n
-    if len(dechirped) > n:
-        raise ValueError(f"input of {len(dechirped)} samples exceeds transform size {n}")
-    return np.abs(np.fft.fft(dechirped.samples, n=n))
-
-
 def _window_spectra(windows: np.ndarray, params: LoraParams) -> np.ndarray:
-    """Dechirp + transform for a (count, m) block of symbol windows."""
+    """The one dechirp-and-transform, for a (count, m) block of symbol windows, m <= n.
+
+    Each row times the leading m base-downchirp samples, zero-padded to n:
+    the (count, n) transform magnitudes.
+    """
     m = windows.shape[1]
     down = np.conj(_base_ramp(params.n)[:m])
     return np.abs(np.fft.fft(windows * down[None, :], n=params.n, axis=1))
@@ -109,37 +84,26 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return bins, peaks, floors, peaks / np.maximum(floors, NOISE_FLOOR_MIN)
 
 
-def _results_from_spectra(mags: np.ndarray) -> list[DemodResult]:
-    symbols, peaks, floors, ratios = _peak_and_floor(mags)
+def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: int) -> list[DemodResult]:
+    """Slice buf into count consecutive m-sample windows and decode each: peak bin, peak, median noise floor.
+
+    ValueError unless count is an integer >= 0; LengthMismatchError if buf is shorter than count windows.
+    """
+    if not isinstance(count, numbers.Integral) or count < 0:
+        raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    m = rf.m(params)
+    if len(buf) < count * m:
+        raise LengthMismatchError(
+            f"buffer has {len(buf)} samples, need {count * m} for {count} symbols at beta={rf.beta}"
+        )
+    windows = buf.samples[: count * m].reshape(count, m)
+    symbols, peaks, floors, ratios = _peak_and_floor(_window_spectra(windows, params))
     # the peak is a row maximum, so only a peak under the clamp reads below 1: 0 dB, not -inf
     snr_db = 20.0 * np.log10(np.maximum(ratios, 1.0))
     return [
         DemodResult(int(s), float(p), float(f), float(d))
         for s, p, f, d in zip(symbols, peaks, floors, snr_db)
     ]
-
-
-def demodulate_symbol(window: IqBuffer, params: LoraParams) -> DemodResult:
-    """Decode one symbol window: peak bin, peak magnitude, and median noise floor."""
-    if len(window) == 0:
-        raise ValueError("cannot demodulate an empty window")
-    mags = _window_spectra(window.samples[None, :], params)
-    return _results_from_spectra(mags)[0]
-
-
-def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: int) -> list[DemodResult]:
-    """Slice buf into count consecutive m-sample windows and decode each."""
-    m = rf.m(params)
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if count == 0:
-        return []
-    if len(buf) < count * m:
-        raise LengthMismatchError(
-            f"buffer has {len(buf)} samples, need {count * m} for {count} symbols at beta={rf.beta}"
-        )
-    windows = buf.samples[: count * m].reshape(count, m)
-    return _results_from_spectra(_window_spectra(windows, params))
 
 
 def symbols_to_bits(symbols, sf: int) -> np.ndarray:

@@ -30,6 +30,12 @@ def naive_dft_batch(rows: np.ndarray, n: int) -> np.ndarray:
     return padded @ dft_matrix(n).T
 
 
+def naive_spectra(windows: np.ndarray, n: int) -> np.ndarray:
+    """|DFT| of each window times the leading downchirp samples exp(-i pi j^2 / n), zero-padded to n."""
+    j = np.arange(windows.shape[1])
+    return np.abs(naive_dft_batch(windows * np.exp(-1j * np.pi * j * j / n), n))
+
+
 def _orthogonal_ser(bins: int, es_n0: float) -> float:
     """Error rate of noncoherent detection among `bins` orthogonal signals at symbol energy over N0 es_n0.
 

@@ -133,6 +133,15 @@ class TestShiftedUpchirp:
         with pytest.raises(ValueError):
             shifted_upchirp(SF7, k)
 
+    @pytest.mark.parametrize("k", [7.9, 0.5, np.nan, np.inf])
+    def test_rejects_non_integral_symbols(self, k):
+        # the symbol rule of modulate: 7.9 is not rounded down to symbol 7
+        with pytest.raises(ValueError, match="symbols must be integers"):
+            shifted_upchirp(SF7, k)
+
+    def test_integral_float_symbol_is_its_integer(self):
+        np.testing.assert_array_equal(shifted_upchirp(SF7, 7.0).samples, shifted_upchirp(SF7, 7).samples)
+
     @pytest.mark.parametrize("k", [1, 32, 64, 100, 127])
     def test_dechirp_tone_at_bin_k(self, k):
         tone = shifted_upchirp(SF7, k).samples * base_downchirp(SF7).samples

@@ -409,6 +409,17 @@ class TestDecodeFrame:
         with pytest.raises(ValueError):
             decode_frame(buf, 0, SF7, preamble_len)
 
+    @pytest.mark.parametrize("offset", [-1888, -1, 1888.0, 1.5])
+    def test_rejects_offset_not_an_integer_at_least_zero(self, offset):
+        # two back-to-back frames: -1888 must not count from the end onto the second one
+        _, first = make_frame([4, 5, 6], 0.5)
+        _, second = make_frame([1, 2, 3], 0.5)
+        buf = IqBuffer(np.concatenate([first.samples, second.samples]), SF7.bw)
+        assert len(first) == 1888
+        assert decode_frame(buf, 1888, SF7)[0] == [1, 2, 3]
+        with pytest.raises(ValueError, match="offset must be an integer >= 0"):
+            decode_frame(buf, offset, SF7)
+
     def test_truncated_buffer(self):
         _, buf = make_frame([1, 2, 3, 4], 1.0)
         clipped = IqBuffer(buf.samples[:-200], SF7.bw)

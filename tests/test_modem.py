@@ -4,9 +4,11 @@ import pytest
 from chirplab.channel import add_noise
 from chirplab.chirps import (
     BETA_TABLE,
+    FULL_PERIOD,
     IqBuffer,
     LoraParams,
     ReductionFactor,
+    base_downchirp,
     base_upchirp,
     shifted_upchirp,
     truncate,
@@ -16,16 +18,13 @@ from chirplab.modem import (
     _peak_and_floor,
     _window_spectra,
     bit_errors,
-    dechirp,
     decide_symbols,
     demodulate,
-    demodulate_symbol,
     modulate,
-    spectrum_magnitude,
     symbols_to_bits,
 )
 
-from oracles import naive_dft
+from oracles import naive_spectra
 
 SF7 = LoraParams(sf=7, bw=125e3)
 ALL_RF = [ReductionFactor(b) for b in BETA_TABLE]
@@ -64,105 +63,104 @@ class TestModulate:
             modulate(bad, SF7, ReductionFactor(1.0))
 
 
+def kernel_row(window: IqBuffer, params=SF7) -> np.ndarray:
+    """The batch kernel's spectrum of one window, passed as a one-row block."""
+    return _window_spectra(window.samples[None, :], params)[0]
+
+
 class TestDechirp:
+    # the dechirp step of the one kernel, seen in its spectrum
     def test_base_upchirp_becomes_dc(self):
-        out = dechirp(base_upchirp(SF7), SF7)
-        np.testing.assert_allclose(out.samples, np.ones(128), atol=1e-12)
+        mags = kernel_row(base_upchirp(SF7))
+        assert mags[0] == pytest.approx(128.0, rel=1e-12)
+        assert np.delete(mags, 0).max() < 1e-9
 
     def test_shifted_upchirp_becomes_tone(self):
         k = 41
-        out = dechirp(shifted_upchirp(SF7, k), SF7)
-        mags = np.abs(naive_dft(out.samples, 128))
-        assert mags.argmax() == k
+        window = shifted_upchirp(SF7, k)
+        mags = kernel_row(window)
+        want = naive_spectra(window.samples[None, :], 128)[0]
+        assert mags.argmax() == want.argmax() == k
+        assert np.max(np.abs(mags - want)) <= 1e-9 * want.max()
 
     def test_truncation_commutes_with_dechirp(self):
+        # truncating before the kernel's dechirp equals truncating the full product, to the last bit
         k = 90
         rf = ReductionFactor(0.5)
-        full = dechirp(shifted_upchirp(SF7, k), SF7).samples
-        trunc = dechirp(truncate(shifted_upchirp(SF7, k), rf, SF7), SF7).samples
-        np.testing.assert_array_equal(trunc, full[:64])
-
-    def test_rejects_overlong_window(self):
-        with pytest.raises(ValueError):
-            dechirp(IqBuffer(np.ones(129, dtype=complex), SF7.bw), SF7)
+        full_product = shifted_upchirp(SF7, k).samples * base_downchirp(SF7).samples
+        trunc = kernel_row(truncate(shifted_upchirp(SF7, k), rf, SF7))
+        np.testing.assert_array_equal(trunc, np.abs(np.fft.fft(full_product[:64], 128)))
 
 
 class TestSpectrumMagnitude:
+    # the transform step of the one kernel: unnormalised, each row zero-padded to n bins
     def test_dc_tone(self):
-        mags = spectrum_magnitude(IqBuffer(np.ones(128, dtype=complex), SF7.bw), SF7)
-        assert mags[0] == pytest.approx(128.0)
-        assert np.delete(mags, 0).max() < 1e-9
+        scales = np.array([1.0, 2.0, 0.5])
+        mags = _window_spectra(scales[:, None] * base_upchirp(SF7).samples, SF7)
+        np.testing.assert_allclose(mags[:, 0], 128.0 * scales, rtol=1e-12)
+        assert mags[:, 1:].max() < 1e-9
 
     def test_all_zero(self):
-        mags = spectrum_magnitude(IqBuffer(np.zeros(16, dtype=complex), SF7.bw), SF7)
-        np.testing.assert_array_equal(mags, np.zeros(128))
+        mags = _window_spectra(np.zeros((2, 16), dtype=complex), SF7)
+        np.testing.assert_array_equal(mags, np.zeros((2, 128)))
 
     def test_truncated_tone_keeps_bin_and_peak(self):
         k, m = 23, 64
-        tone = dechirp(truncate(shifted_upchirp(SF7, k), ReductionFactor(0.5), SF7), SF7)
-        mags = spectrum_magnitude(tone, SF7)
+        mags = kernel_row(truncate(shifted_upchirp(SF7, k), ReductionFactor(0.5), SF7))
         assert len(mags) == 128
         assert mags.argmax() == k
         assert mags[k] == pytest.approx(m, rel=1e-9)
-
-    def test_rejects_overlong_input(self):
-        with pytest.raises(ValueError):
-            spectrum_magnitude(IqBuffer(np.ones(200, dtype=complex), SF7.bw), SF7)
-
-    @pytest.mark.parametrize("n", [128, 512])
-    def test_matches_direct_transform_oracle(self, n):
-        params = LoraParams(sf={128: 7, 512: 9}[n], bw=125e3)
-        rng = np.random.default_rng(7)
-        for length in (n, n // 2):
-            x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            got = spectrum_magnitude(IqBuffer(x, params.bw), params)
-            want = np.abs(naive_dft(x, n))
-            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
 
 
 class TestBatchKernel:
     @pytest.mark.parametrize("sf", [7, 10, 12])
     @pytest.mark.parametrize("beta", BETA_TABLE)
     def test_rows_equal_single_window_pair(self, sf, beta):
-        # the batch kernel behind demod, sync, header decode and the trial
-        # engine, tied bit for bit to the pair the DFT oracle checks
+        # the one dechirp-and-transform, behind demod, preamble sync, header decode
+        # and the gathered-chirp oracle: each row against its own window's pair of
+        # the written-out downchirp and the direct O(n^2) DFT
         params = LoraParams(sf=sf, bw=125e3)
         rf = ReductionFactor(beta)
         rng = np.random.default_rng(sf)
         symbols = rng.integers(0, params.n, 4)
         windows = add_noise(modulate(symbols, params, rf).samples.reshape(4, -1), 0.0, rng)
-        batch = _window_spectra(windows, params)
-        for row, mags in zip(windows, batch):
-            single = spectrum_magnitude(dechirp(IqBuffer(row, params.bw), params), params)
-            np.testing.assert_array_equal(mags, single)
+        got = _window_spectra(windows, params)
+        want = naive_spectra(windows, params.n)
+        assert got.shape == want.shape == (4, params.n)
+        assert (np.max(np.abs(got - want), axis=1) <= 1e-9 * want.max(axis=1)).all()
 
 
 class TestDemodulateSymbol:
+    # one m-sample window through demodulate with count 1
+    @staticmethod
+    def demodulate_one(window: IqBuffer, rf=FULL_PERIOD):
+        return demodulate(window, SF7, rf, 1)[0]
+
     def test_exhaustive_noiseless_sf7_all_betas(self):
         for rf in ALL_RF:
             m = rf.m(SF7)
             for k in range(128):
-                res = demodulate_symbol(truncate(shifted_upchirp(SF7, k), rf, SF7), SF7)
+                res = self.demodulate_one(truncate(shifted_upchirp(SF7, k), rf, SF7), rf)
                 assert res.symbol == k
                 assert res.peak_magnitude == pytest.approx(m, rel=1e-6)
 
     def test_noiseless_peak_ratio_is_beta(self):
-        base = demodulate_symbol(shifted_upchirp(SF7, 5), SF7).peak_magnitude
+        base = self.demodulate_one(shifted_upchirp(SF7, 5)).peak_magnitude
         for beta in (0.875, 0.5):
             rf = ReductionFactor(beta)
-            peak = demodulate_symbol(truncate(shifted_upchirp(SF7, 5), rf, SF7), SF7).peak_magnitude
+            peak = self.demodulate_one(truncate(shifted_upchirp(SF7, 5), rf, SF7), rf).peak_magnitude
             assert peak / base == pytest.approx(beta, abs=1e-9)
 
     def test_noiseless_snr_estimate_is_large(self):
-        res = demodulate_symbol(shifted_upchirp(SF7, 9), SF7)
+        res = self.demodulate_one(shifted_upchirp(SF7, 9))
         assert res.snr_estimate_db >= 35.0
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
-            demodulate_symbol(IqBuffer(np.empty(0, dtype=complex), SF7.bw), SF7)
+            self.demodulate_one(IqBuffer(np.empty(0, dtype=complex), SF7.bw))
 
     def test_all_zero_window_ties_break_to_lowest_bin(self):
-        res = demodulate_symbol(IqBuffer(np.zeros(128, dtype=complex), SF7.bw), SF7)
+        res = self.demodulate_one(IqBuffer(np.zeros(128, dtype=complex), SF7.bw))
         assert res.symbol == 0
         assert res.peak_magnitude == 0.0
         assert res.snr_estimate_db == 0.0
@@ -170,8 +168,8 @@ class TestDemodulateSymbol:
     def test_peak_is_max_bin_and_floor_is_median(self):
         rng = np.random.default_rng(3)
         window = IqBuffer(rng.standard_normal(128) + 1j * rng.standard_normal(128), SF7.bw)
-        res = demodulate_symbol(window, SF7)
-        mags = spectrum_magnitude(dechirp(window, SF7), SF7)
+        res = self.demodulate_one(window)
+        mags = naive_spectra(window.samples[None, :], 128)[0]
         assert res.symbol == mags.argmax()
         assert res.peak_magnitude == pytest.approx(mags.max())
         assert res.noise_floor == pytest.approx(np.median(np.delete(mags, mags.argmax())))
@@ -224,17 +222,20 @@ class TestDemodulate:
         with pytest.raises(LengthMismatchError):
             demodulate(base_upchirp(SF7), SF7, ReductionFactor(1.0), 2)
 
+    @pytest.mark.parametrize("count", [-1, 2.0, 1.5])
+    def test_rejects_count_not_an_integer_at_least_zero(self, count):
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            demodulate(modulate([1, 2], SF7, FULL_PERIOD), SF7, FULL_PERIOD, count)
+
     def test_eq10_truncated_product_equivalence(self):
         # demodulating a truncated symbol == demodulating the truncated full product
         rng = np.random.default_rng(11)
         for rf in ALL_RF:
             m = rf.m(SF7)
             for k in rng.integers(0, 128, 8):
-                direct = demodulate_symbol(truncate(shifted_upchirp(SF7, int(k)), rf, SF7), SF7)
-                full_product = dechirp(shifted_upchirp(SF7, int(k)), SF7)
-                via_product = spectrum_magnitude(
-                    IqBuffer(full_product.samples[:m], SF7.bw), SF7
-                )
+                direct = demodulate(truncate(shifted_upchirp(SF7, int(k)), rf, SF7), SF7, rf, 1)[0]
+                full_product = shifted_upchirp(SF7, int(k)).samples * base_downchirp(SF7).samples
+                via_product = np.abs(np.fft.fft(full_product[:m], 128))
                 assert direct.symbol == via_product.argmax() == k
                 assert direct.peak_magnitude == via_product.max()
 
