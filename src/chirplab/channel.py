@@ -76,7 +76,12 @@ def awgn(buf: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
 
 
 def snr_estimate(results: list[DemodResult]) -> float:
-    """Median per-symbol peak-over-floor SNR estimate in dB."""
+    """Median per-symbol peak-over-floor SNR estimate in dB; NaN if any estimate is NaN, as np.median gives."""
     if not results:
         raise ValueError("cannot estimate SNR from an empty result sequence")
-    return float(np.median([r.snr_estimate_db for r in results]))
+    values = sorted(r.snr_estimate_db for r in results)
+    if any(map(math.isnan, values)):
+        return math.nan
+    mid = len(values) // 2
+    # np.median's mean of the two middle values: their sum over 2
+    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2

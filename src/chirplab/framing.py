@@ -58,6 +58,9 @@ class UnknownBetaIndexError(Exception):
 
 
 def _check_preamble_len(preamble_len: int):
+    """ValueError unless preamble_len is an integer >= 1."""
+    if not isinstance(preamble_len, numbers.Integral):
+        raise ValueError(f"preamble_len must be an integer, got {preamble_len!r}")
     if preamble_len < 1:
         raise ValueError(f"preamble_len must be >= 1, got {preamble_len}")
 
@@ -149,27 +152,23 @@ def _screen_windows(samples: np.ndarray, n: int, first: int, stop: int) -> np.nd
     b + 1, so only the blocks first to stop are read, and one 2n-point
     transform gives a row's correlations. Each energy is a suffix sum of
     block b plus a prefix sum of block b + 1, so it adds only samples inside
-    its window. Non-finite samples are zeroed so that they cannot spoil a
-    block, and every window holding one fails: its spectrum is NaN, so the
-    exact check never counts it a hit.
+    its window. A sample no hit can hold, non-finite or past the buffer's
+    end, is zeroed in the transform, so that it cannot spoil a block, and
+    has infinite power, so that no window holding it passes.
     """
     chunk = samples[first * n: (stop + 1) * n]
     blocks = stop - first
     finite = np.isfinite(chunk)
-    padded = np.zeros((blocks + 1) * n, dtype=np.complex128)
-    padded[: len(chunk)] = np.where(finite, chunk, 0)
-    segments = np.lib.stride_tricks.sliding_window_view(padded, 2 * n)[::n]
+    padded = np.zeros((blocks + 1, n), dtype=np.complex128)
+    np.copyto(padded.reshape(-1)[: len(chunk)], chunk, where=finite)
+    segments = np.concatenate((padded[:-1], padded[1:]), axis=1)
     corr = np.fft.ifft(np.fft.fft(segments, axis=1) * _screen_template(n), axis=1)[:, :n]
-    power = (padded.real ** 2 + padded.imag ** 2).reshape(blocks + 1, n)
+    power = np.full((blocks + 1, n), np.inf)
+    np.copyto(power.reshape(-1)[: len(chunk)], chunk.real ** 2 + chunk.imag ** 2, where=finite)
     energy = np.cumsum(power[:-1, ::-1], axis=1)[:, ::-1]
     energy[:, 1:] += np.cumsum(power[1:, :-1], axis=1)
     bound = SCREEN_ENERGY_FRACTION * max(1.0, 2.0 / (1.0 + PREAMBLE_PEAK_RATIO ** -2))
-    passing = corr.real ** 2 + corr.imag ** 2 >= bound * energy
-    # samples no hit can hold: the non-finite ones and the padding past the end
-    unusable = np.ones(len(padded), dtype=bool)
-    unusable[: len(chunk)] = ~finite
-    held = np.concatenate(([0], np.cumsum(unusable)))
-    return passing & (held[n: len(padded)] == held[: blocks * n]).reshape(blocks, n)
+    return corr.real ** 2 + corr.imag ** 2 >= bound * energy
 
 
 def detect_preamble(buf: IqBuffer, params: LoraParams,

@@ -7,8 +7,6 @@ versions the beta index code table.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .chirps import BANDWIDTHS_HZ, BETA_TABLE, SPREADING_FACTORS, IqBuffer
@@ -51,8 +49,6 @@ def read_sidecar(path) -> dict:
     or beta_table, or a value no capture can carry raises IqFormatError.
     """
     meta_path = sidecar_path(path)
-    if not os.path.exists(meta_path):
-        raise IqFormatError(f"missing sidecar {meta_path}")
     meta = {}
     try:
         with open(meta_path, encoding="utf-8") as handle:
@@ -66,6 +62,8 @@ def read_sidecar(path) -> dict:
                 if key in meta:
                     raise IqFormatError(f"{meta_path}:{lineno}: key '{key}' repeated")
                 meta[key] = value
+    except (FileNotFoundError, NotADirectoryError):
+        raise IqFormatError(f"missing sidecar {meta_path}") from None
     except UnicodeDecodeError:
         raise IqFormatError(f"{meta_path}: not UTF-8 text") from None
     for key, supported in (("format", FORMAT_VERSION), ("beta_table", BETA_TABLE_VERSION)):
@@ -86,9 +84,11 @@ def read_sidecar(path) -> dict:
 
 def read_iq(path, sample_rate: float) -> IqBuffer:
     """Read a cf32 capture; rejects files with a dangling half-sample."""
-    if not os.path.exists(path):
-        raise IqFormatError(f"no such IQ file: {path}")
-    if os.path.getsize(path) % 8 != 0:
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except (FileNotFoundError, NotADirectoryError):
+        raise IqFormatError(f"no such IQ file: {path}") from None
+    if len(data) % 8 != 0:
         raise IqFormatError(f"{path}: size is not a multiple of 8 bytes (float32 I/Q pairs)")
-    samples = np.fromfile(path, dtype="<c8").astype(np.complex128)
-    return IqBuffer(samples, sample_rate)
+    return IqBuffer(np.frombuffer(data, dtype="<c8").astype(np.complex128), sample_rate)

@@ -75,10 +75,10 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     whole row: one partition, with no masked copy. The ratio is the peak over
     the floor clamped at NOISE_FLOOR_MIN.
     """
-    count, n = mags.shape
+    n = mags.shape[1]
     # argmax takes the lowest bin on ties
     bins = mags.argmax(axis=1)
-    peaks = mags[np.arange(count), bins]
+    peaks = mags.max(axis=1)
     mid = (n - 2) // 2
     floors = np.partition(mags, mid, axis=1)[:, mid]
     return bins, peaks, floors, peaks / np.maximum(floors, NOISE_FLOOR_MIN)
@@ -100,10 +100,8 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
     symbols, peaks, floors, ratios = _peak_and_floor(_window_spectra(windows, params))
     # the peak is a row maximum, so only a peak under the clamp reads below 1: 0 dB, not -inf
     snr_db = 20.0 * np.log10(np.maximum(ratios, 1.0))
-    return [
-        DemodResult(int(s), float(p), float(f), float(d))
-        for s, p, f, d in zip(symbols, peaks, floors, snr_db)
-    ]
+    columns = (symbols.tolist(), peaks.tolist(), floors.tolist(), snr_db.tolist())
+    return [DemodResult(*row) for row in zip(*columns)]
 
 
 def symbols_to_bits(symbols, sf: int) -> np.ndarray:

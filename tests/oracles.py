@@ -11,9 +11,10 @@ from chirplab.modem import NOISE_FLOOR_MIN, _window_spectra, modulate
 from chirplab.montecarlo import log_i0, marcum_q1, union_bound_ser  # noqa: F401
 
 
-def dft_matrix(n: int) -> np.ndarray:
+def dft_matrix(n: int, rows: slice = slice(None)) -> np.ndarray:
+    """Rows k (all by default) of the n-point DFT matrix: exp(-2 pi i k j / n)."""
     j = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n)
+    return np.exp(-2j * np.pi * np.outer(j[rows], j) / n)
 
 
 def naive_dft(x: np.ndarray, n: int) -> np.ndarray:
@@ -24,10 +25,16 @@ def naive_dft(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def naive_dft_batch(rows: np.ndarray, n: int) -> np.ndarray:
-    """Direct DFT of each row, zero-padded to n; one O(n^2) matrix, many inputs."""
+    """Direct DFT of each row, zero-padded to n; the O(n^2) matrix is built 256 of its rows at a time.
+
+    A block of 256 rows at n = 4096 is 16 MB, where the whole matrix is 268 MB.
+    """
     padded = np.zeros((rows.shape[0], n), dtype=np.complex128)
     padded[:, : rows.shape[1]] = rows
-    return padded @ dft_matrix(n).T
+    out = np.empty_like(padded)
+    for lo in range(0, n, 256):
+        out[:, lo: lo + 256] = padded @ dft_matrix(n, slice(lo, lo + 256)).T
+    return out
 
 
 def naive_spectra(windows: np.ndarray, n: int) -> np.ndarray:
@@ -166,6 +173,27 @@ def exhaustive_detect_preamble(buf, params, preamble_len=8, peak_ratio=4.0):
     if best is None:
         raise PreambleNotFoundError("no preamble run found above the peak-ratio threshold")
     return best
+
+
+def screen_statistics(samples, n, first, stop):
+    """Reference for framing._screen_windows: (|X_0|^2, E), each a (stop - first, n) grid of starts.
+
+    Entry [i, a] is for the window w at start a + (first + i) n: X_0 is
+    np.vdot(u, w), the correlation with the base upchirp u written out as
+    exp(i pi j^2 / n), and E the plain sum of |w|^2. A window that reaches past
+    the buffer or holds a non-finite sample gets NaN in both.
+    """
+    j = np.arange(n)
+    upchirp = np.exp(1j * np.pi * j * j / n)
+    corr2 = np.full((stop - first, n), np.nan)
+    energy = np.full((stop - first, n), np.nan)
+    for i in range(stop - first):
+        for a in range(n):
+            window = samples[a + (first + i) * n: a + (first + i + 1) * n]
+            if len(window) == n and np.isfinite(window).all():
+                corr2[i, a] = abs(np.vdot(upchirp, window)) ** 2
+                energy[i, a] = np.sum(window.real ** 2 + window.imag ** 2)
+    return corr2, energy
 
 
 def gathered_trials(params, rf, snr_db, trials, rng):

@@ -94,6 +94,21 @@ class TestSnrEstimate:
         with pytest.raises(ValueError):
             snr_estimate([])
 
+    @pytest.mark.parametrize("count", [1, 2, 7, 20])
+    def test_equals_numpy_median(self, count):
+        rng = np.random.default_rng(count)
+        for spoil in (None, np.inf, np.nan):
+            values = rng.exponential(10.0, count)
+            if spoil is not None:
+                values[rng.integers(0, count)] = spoil
+            got = snr_estimate([DemodResult(0, 1.0, 1.0, float(v)) for v in values])
+            want = float(np.median(values))
+            assert type(got) is float
+            if spoil is np.nan:
+                assert np.isnan(got)
+            else:
+                assert got == want
+
     def test_noiseless_frame_estimate_is_large(self):
         symbols = np.arange(0, 128, 7)
         results = demodulate(modulate(symbols, SF7, FULL_PERIOD), SF7, FULL_PERIOD, len(symbols))

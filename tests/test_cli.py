@@ -434,6 +434,9 @@ def malformed_inputs(tmp_path_factory):
                     {"sf": 7, "bw": 125000.0, "beta": 1.0})
     symbols = modulate([1, 2, 3], SF7, ReductionFactor(0.5))
     iqfile.write_iq(root / "mod.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.5})
+    # a capture path that is a directory, beside a good sidecar
+    (root / "dir.cf32").mkdir()
+    (root / "dir.cf32.meta").write_text("sf=7\nbw=125000.0\nbeta=0.5\npreamble_len=8\n")
     # sidecar values that no capture carries, each the only fault of its capture
     iqfile.write_iq(root / "beta_0.3.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.3})
     for name, key, value in (("sf_abc", "sf", "abc"), ("bw_1e3", "bw", "1e3"), ("preamble_x", "preamble_len", "x")):
@@ -479,6 +482,7 @@ MALFORMED_ARGV = [
     ("demod --in {d}/beta_0.3.cf32", 3),
     ("demod --in {d}/sf_twice.cf32", 3),
     ("demod --in {d}/not_utf8.cf32", 3),
+    ("demod --in {d}/dir.cf32", 1),
     ("demod --in {d}/mod.cf32 --beta 0.3", 2),
     ("demod --in {d}/mod.cf32 --sf 7", 2),
     ("demod --in {d}/mod.cf32 --bw 250000", 2),
@@ -500,6 +504,7 @@ MALFORMED_ARGV = [
     ("frame-decode --in {d}/sf_abc.cf32", 3),
     ("frame-decode --in {d}/bw_1e3.cf32", 3),
     ("frame-decode --in {d}/preamble_x.cf32", 3),
+    ("frame-decode --in {d}/dir.cf32", 1),
     ("frame-decode --in {d}/frame.cf32 --bw 250000", 2),
     ("peak-experiment --bw 250000 --out {d}/x.csv", 2),
     ("peak-experiment --snr-start nan --out {d}/x.csv", 1),

@@ -28,7 +28,7 @@ from chirplab.framing import (
 )
 from chirplab.modem import LengthMismatchError, _window_spectra, modulate
 
-from oracles import exhaustive_detect_preamble
+from oracles import exhaustive_detect_preamble, screen_statistics
 
 SF7 = LoraParams(sf=7, bw=125e3)
 
@@ -177,6 +177,37 @@ class TestDetectPreamble:
                 assert screened == list(range(len(screened)))
                 rows.append(len(screened))
             assert rows[0] == rows[1] <= lead // n + need + 2
+
+
+class TestScreenWindows:
+    """_screen_windows against screen_statistics, its direct per-start oracle."""
+
+    @pytest.mark.parametrize("sf", [7, 8])
+    def test_matches_direct_oracle(self, sf):
+        rng = np.random.default_rng(1000 + sf)
+        n = 1 << sf
+        bound = framing.SCREEN_ENERGY_FRACTION * max(1.0, 2.0 / (1.0 + framing.PREAMBLE_PEAK_RATIO ** -2))
+        counts = np.zeros(4, dtype=int)  # windows: passing, usable, decided, unusable
+        for scale in (1e-3, 1.0, 1e3):
+            for bad in (np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)):
+                # noise with a run of upchirps, cut off inside a symbol, one or two non-finite samples
+                size = int(rng.integers(4 * n, 9 * n))
+                samples = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+                start = int(rng.integers(0, size - 3 * n))
+                samples[start: start + 3 * n] += 3 * scale * np.tile(framing._base_ramp(n), 3)
+                samples[rng.integers(0, size, int(rng.integers(1, 3)))] = bad
+                rows = size // n
+                first = int(rng.integers(0, rows))
+                stop = int(rng.integers(first + 1, rows + 1))
+                grid = framing._screen_windows(samples, n, first, stop)
+                corr2, energy = screen_statistics(samples, n, first, stop)
+                unusable = np.isnan(energy)
+                assert not grid[unusable].any()
+                decided = ~unusable & (np.abs(corr2 - bound * energy) > 1e-9 * bound * energy)
+                np.testing.assert_array_equal(grid[decided], (corr2 >= bound * energy)[decided])
+                counts += [grid.sum(), (~unusable).sum(), decided.sum(), unusable.sum()]
+        passing, usable, decided, unusable = counts
+        assert passing > 0 and unusable > 0 and decided >= 0.99 * usable
 
 
 def sync_result(detect, samples, params, preamble_len):
@@ -408,6 +439,16 @@ class TestDecodeFrame:
             detect_preamble(buf, SF7, preamble_len)
         with pytest.raises(ValueError):
             decode_frame(buf, 0, SF7, preamble_len)
+
+    @pytest.mark.parametrize("preamble_len", [2.5, 8.0, 8.5])
+    def test_rejects_preamble_len_not_an_integer(self, preamble_len):
+        _, buf = make_frame([1, 2, 3], 1.0)
+        for call in (lambda: time_on_air(FrameSpec(payload=(1, 2, 3), rf=FULL_PERIOD, preamble_len=preamble_len), SF7),
+                     lambda: build_frame(FrameSpec(payload=(1, 2, 3), rf=FULL_PERIOD, preamble_len=preamble_len), SF7),
+                     lambda: detect_preamble(buf, SF7, preamble_len),
+                     lambda: decode_frame(buf, 0, SF7, preamble_len)):
+            with pytest.raises(ValueError, match="preamble_len must be an integer"):
+                call()
 
     @pytest.mark.parametrize("offset", [-1888, -1, 1888.0, 1.5])
     def test_rejects_offset_not_an_integer_at_least_zero(self, offset):

@@ -215,6 +215,13 @@ class TestDemodulate:
             results = demodulate(modulate(symbols, params, rf), params, rf, len(symbols))
             assert [r.symbol for r in results] == list(symbols)
 
+    def test_results_hold_python_numbers(self):
+        rng = np.random.default_rng(4)
+        noisy = add_noise(modulate([3, 90, 127], SF7, FULL_PERIOD).samples, 0.0, rng)
+        for r in demodulate(IqBuffer(noisy, SF7.bw), SF7, FULL_PERIOD, 3):
+            assert type(r.symbol) is int
+            assert all(type(v) is float for v in (r.peak_magnitude, r.noise_floor, r.snr_estimate_db))
+
     def test_count_zero(self):
         assert demodulate(base_upchirp(SF7), SF7, ReductionFactor(1.0), 0) == []
 
