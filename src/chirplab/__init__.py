@@ -41,7 +41,6 @@ from .modem import (
     bit_errors,
     demodulate,
     modulate,
-    symbols_to_bits,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +81,6 @@ __all__ = [
     "select_beta",
     "shifted_upchirp",
     "snr_estimate",
-    "symbols_to_bits",
     "time_on_air",
     "time_saving",
     "truncate",

@@ -15,9 +15,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .channel import check_seed
-from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import STREAM_VERSION, check_trials, snr_grid, symbol_error_rate, union_bound_ser
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor, check_integer
+from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate, union_bound_ser
 
 DEFAULT_TARGET_SER = 1e-3
 DEFAULT_SAFETY_MARGIN_DB = 2.0
@@ -50,18 +49,17 @@ class ThresholdTable:
     def validate(self):
         """Check the values a calibration can produce and both monotonicity invariants; raises ValueError.
 
-        target_ser must lie in (0, 1), trials pass check_trials and reach
+        target_ser must lie in (0, 1), trials be an integer >= 1 that reaches
         10 / target_ser (fewer expect under 10 errors at the target), the seed
-        pass check_seed, every sf pass LoraParams, every beta ReductionFactor
+        an integer >= 0, every sf pass LoraParams, every beta ReductionFactor
         and every threshold be finite.
         """
         if not 0 < self.target_ser < 1:
             raise ValueError(f"target SER must lie in (0, 1), got {self.target_ser}")
-        if self.trials < 10 / self.target_ser:
+        if check_integer("trials", self.trials, 1) < 10 / self.target_ser:
             raise ValueError(f"need at least {10 / self.target_ser:.0f} trials to resolve SER {self.target_ser}, "
                              f"got {self.trials}")
-        check_trials(self.trials)
-        check_seed(self.seed)
+        check_integer("seed", self.seed, 0)
         for (sf, beta), req in self.entries.items():
             LoraParams(sf, BANDWIDTHS_HZ[0])
             ReductionFactor(beta)
@@ -144,8 +142,7 @@ class LinkHistory:
     recent_snrs: deque = field(default_factory=deque)
 
     def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError(f"link history capacity must be >= 1, got {self.capacity}")
+        self.capacity = check_integer("link history capacity", self.capacity, 1)
         initial, self.recent_snrs = self.recent_snrs, deque(maxlen=self.capacity)
         for snr_db in initial:
             record_packet(self, snr_db)

@@ -9,12 +9,11 @@ reproduces the same waveform.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chirps import IqBuffer
+from .chirps import IqBuffer, check_integer
 from .modem import DemodResult
 
 # Lowest SNR whose noise a capture or a trial spectrum can hold: its scale is 7.1e14, so float32
@@ -22,20 +21,12 @@ from .modem import DemodResult
 MIN_SNR_DB = -300.0
 
 
-def check_seed(seed: int) -> int:
-    """The seed as an int; ValueError unless it is an integer >= 0 (SeedSequence takes no negative entropy)."""
-    if not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return int(seed)
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """Per-sample SNR in dB plus the seed that fully determines the noise.
 
-    snr_db = inf means noiseless; an SNR noise_scale rejects or a seed check_seed rejects raises ValueError.
+    snr_db = inf means noiseless; an SNR noise_scale rejects, or a seed that is not an integer >= 0
+    (SeedSequence takes no negative entropy), raises ValueError.
     """
 
     snr_db: float
@@ -43,7 +34,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         noise_scale(self.snr_db)
-        check_seed(self.seed)
+        check_integer("seed", self.seed, 0)
 
 
 def noise_scale(snr_db: float) -> float:

@@ -6,6 +6,7 @@ index after dechirping.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -18,6 +19,15 @@ BANDWIDTHS_HZ = (125_000.0, 250_000.0, 500_000.0)
 # Index i encodes beta = 1 - i/8; every value is an exact binary fraction,
 # so m = beta * n is an exact integer for all supported sf.
 BETA_TABLE = (1.0, 0.875, 0.75, 0.625, 0.5)
+
+
+def check_integer(name: str, value, minimum: int) -> int:
+    """The one integer rule: value as an int; ValueError unless it is an integer (not 2.0, not "2") >= minimum."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -45,16 +55,6 @@ class LoraParams:
         """Full symbol period in seconds."""
         return self.n / self.bw
 
-    @property
-    def t_chip(self) -> float:
-        """Chip period in seconds (one sample at critical sampling)."""
-        return 1.0 / self.bw
-
-    @property
-    def chirp_rate(self) -> float:
-        """Frequency sweep rate in Hz/s: bw / t_s."""
-        return self.bw / self.t_s
-
 
 @dataclass(frozen=True)
 class ReductionFactor:
@@ -71,17 +71,14 @@ class ReductionFactor:
 
     @classmethod
     def from_index(cls, index: int) -> "ReductionFactor":
-        if not 0 <= index < len(BETA_TABLE):
+        index = check_integer("beta index", index, 0)
+        if index >= len(BETA_TABLE):
             raise ValueError(f"beta index must be in [0, {len(BETA_TABLE)}), got {index}")
         return cls(BETA_TABLE[index])
 
     def m(self, params: LoraParams) -> int:
         """Truncated sample count: round(beta * n). Exact for all allowed beta."""
         return round(self.beta * params.n)
-
-    def t_s_reduced(self, params: LoraParams) -> float:
-        """Reduced symbol period beta * t_s in seconds."""
-        return self.beta * params.t_s
 
 
 FULL_PERIOD = ReductionFactor(1.0)

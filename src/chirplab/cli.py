@@ -18,6 +18,7 @@ from .chirps import (
     LoraParams,
     ReductionFactor,
     base_downchirp,
+    check_integer,
     instantaneous_frequency,
     shifted_upchirp,
     truncate,
@@ -113,9 +114,8 @@ def cmd_demod(args) -> int:
 def cmd_toa(args) -> int:
     params = _params(args)
     rf = ReductionFactor(args.beta)
-    if args.ns < 0:
-        raise ValueError(f"--ns must be >= 0, got {args.ns}")
-    spec = framing.FrameSpec(payload=(0,) * args.ns, rf=rf, preamble_len=args.preamble_len)
+    payload = (0,) * check_integer("--ns", args.ns, 0)
+    spec = framing.FrameSpec(payload=payload, rf=rf, preamble_len=args.preamble_len)
     report = framing.time_on_air(spec, params)
     for key in ("preamble_s", "header_s", "payload_s", "total_s", "saving_s", "effective_symbol_rate"):
         print(f"{key}={getattr(report, key)!r}")

@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .channel import check_seed
-from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor
-from .montecarlo import STREAM_VERSION, check_trials, peak_statistics, run_error_trials, snr_grid
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor, check_integer
+from .montecarlo import STREAM_VERSION, peak_statistics, run_error_trials, snr_grid
 
 PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed", "stream")
 PEAK_BINS_CSV_COLUMNS = ("sf", "beta", "snr_db", "bin", "magnitude")
@@ -38,8 +37,8 @@ class ExperimentConfig:
         self.beta_list = tuple(ReductionFactor(b).beta for b in self.beta_list)
         if not (self.sf_list and self.beta_list):
             raise ValueError("a sweep needs at least one sf and one beta")
-        check_trials(self.trials)
-        check_seed(self.seed)
+        check_integer("trials", self.trials, 1)
+        check_integer("seed", self.seed, 0)
         self.snr_values()  # raises ValueError on a bad SNR range
 
     def snr_values(self) -> list[float]:

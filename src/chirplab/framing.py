@@ -11,7 +11,6 @@ defined by chirps.BETA_TABLE (index i encodes beta = 1 - i/8).
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +24,7 @@ from .chirps import (
     ReductionFactor,
     _base_ramp,
     _symbol_values,
+    check_integer,
 )
 from .modem import DemodResult, _peak_and_floor, _window_spectra, demodulate, modulate
 
@@ -57,14 +57,6 @@ class UnknownBetaIndexError(Exception):
     """Header beta-index symbol is outside the defined code table."""
 
 
-def _check_preamble_len(preamble_len: int):
-    """ValueError unless preamble_len is an integer >= 1."""
-    if not isinstance(preamble_len, numbers.Integral):
-        raise ValueError(f"preamble_len must be an integer, got {preamble_len!r}")
-    if preamble_len < 1:
-        raise ValueError(f"preamble_len must be >= 1, got {preamble_len}")
-
-
 @dataclass(frozen=True)
 class FrameSpec:
     """Payload symbols plus the framing parameters that wrap them."""
@@ -75,7 +67,7 @@ class FrameSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "payload", tuple(self.payload))
-        _check_preamble_len(self.preamble_len)
+        check_integer("preamble_len", self.preamble_len, 1)
 
     def header_symbols(self, params: LoraParams) -> tuple[int, int, int]:
         """(length, beta index, checksum), all in [0, n); ValueError for a payload build_frame cannot send."""
@@ -193,9 +185,8 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     earlier row is an earlier sample, it equals that of checking all n
     alignments.
     """
-    _check_preamble_len(preamble_len)
     n = params.n
-    need = max(1, preamble_len - 1)
+    need = max(1, check_integer("preamble_len", preamble_len, 1) - 1)
     if len(buf) < need * n:
         raise PreambleNotFoundError(f"buffer shorter than the {need} symbols of a preamble run")
     rows = len(buf) // n
@@ -233,10 +224,8 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
 def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
                  preamble_len: int = DEFAULT_PREAMBLE_LEN) -> tuple[list[int], ReductionFactor, FrameDiagnostics]:
     """Decode header and payload of a frame whose preamble starts at offset, an integer >= 0."""
-    if not isinstance(offset, numbers.Integral) or offset < 0:
-        raise ValueError(f"offset must be an integer >= 0, got {offset!r}")
-    _check_preamble_len(preamble_len)
     n = params.n
+    offset, preamble_len = check_integer("offset", offset, 0), check_integer("preamble_len", preamble_len, 1)
     header_start = offset + _preamble_samples(preamble_len, n)
     header_results = demodulate(IqBuffer(buf.samples[header_start:], params.bw), params, FULL_PERIOD, 3)
     length_sym, beta_sym, checksum_sym = (r.symbol for r in header_results)
@@ -280,6 +269,4 @@ def time_saving(n_s: int, rf: ReductionFactor, params: LoraParams) -> float:
     (n_s * (1 - beta) - 1) * t_s; negative when the overhead dominates,
     zero at the break-even point n_s * (1 - beta) = 1.
     """
-    if n_s < 0:
-        raise ValueError("symbol count must be non-negative")
-    return (n_s * (1.0 - rf.beta) - 1.0) * params.t_s
+    return (check_integer("n_s", n_s, 0) * (1.0 - rf.beta) - 1.0) * params.t_s

@@ -7,13 +7,12 @@ independent of the reduction factor.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .chirps import IqBuffer, LoraParams, ReductionFactor, _base_ramp, _symbol_values
+from .chirps import IqBuffer, LoraParams, ReductionFactor, _base_ramp, _symbol_values, check_integer
 
 # Floor clamp of the peak-over-floor ratio; keeps it finite when the non-peak
 # bins are numerically zero (noiseless input).
@@ -87,28 +86,24 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: int) -> list[DemodResult]:
     """Slice buf into count consecutive m-sample windows and decode each: peak bin, peak, median noise floor.
 
-    ValueError unless count is an integer >= 0; LengthMismatchError if buf is shorter than count windows.
+    ValueError unless count is an integer >= 0, or if a window holds a sample that is not finite (checked
+    before any transform, and only in the count windows); LengthMismatchError if buf is shorter than them.
     """
-    if not isinstance(count, numbers.Integral) or count < 0:
-        raise ValueError(f"count must be an integer >= 0, got {count!r}")
+    count = check_integer("count", count, 0)
     m = rf.m(params)
     if len(buf) < count * m:
         raise LengthMismatchError(
             f"buffer has {len(buf)} samples, need {count * m} for {count} symbols at beta={rf.beta}"
         )
     windows = buf.samples[: count * m].reshape(count, m)
+    finite = np.isfinite(windows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"symbol window {finite.argmin()} of {count} holds a non-finite sample")
     symbols, peaks, floors, ratios = _peak_and_floor(_window_spectra(windows, params))
     # the peak is a row maximum, so only a peak under the clamp reads below 1: 0 dB, not -inf
     snr_db = 20.0 * np.log10(np.maximum(ratios, 1.0))
     columns = (symbols.tolist(), peaks.tolist(), floors.tolist(), snr_db.tolist())
     return [DemodResult(*row) for row in zip(*columns)]
-
-
-def symbols_to_bits(symbols, sf: int) -> np.ndarray:
-    """Natural-binary bit expansion, sf bits per symbol, most significant first."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    shifts = np.arange(sf - 1, -1, -1)
-    return ((symbols[:, None] >> shifts[None, :]) & 1).reshape(-1)
 
 
 @lru_cache(maxsize=None)

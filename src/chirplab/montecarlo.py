@@ -25,12 +25,11 @@ part of the stream (STREAM_VERSION).
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .channel import check_seed, noise_scale
-from .chirps import LoraParams, ReductionFactor
+from .channel import noise_scale
+from .chirps import LoraParams, ReductionFactor, check_integer
 from .modem import bit_errors
 
 # the engine calls none of these; perfbench/tracer.py wraps them under these names
@@ -64,18 +63,9 @@ def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
     return points
 
 
-def check_trials(trials: int) -> int:
-    """The trial count as an int; ValueError unless it is an integer >= 1."""
-    if not isinstance(trials, numbers.Integral):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return int(trials)
-
-
 def derive_rng(master_seed: int, tag: int, sf: int, beta: float) -> np.random.Generator:
     """SFC64 generator for one (sf, beta) evaluation under a master seed (an integer >= 0) and stream tag."""
-    entropy = [check_seed(master_seed), int(tag), int(sf), round(beta * 1000)]
+    entropy = [check_integer("seed", master_seed, 0), int(tag), int(sf), round(beta * 1000)]
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
@@ -89,7 +79,7 @@ def _received(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int, mas
     component. Each chunk draws symbols, then noise, from the evaluation's
     own stream, so results depend only on the seed and the fixed chunk size.
     """
-    trials = check_trials(trials)
+    trials = check_integer("trials", trials, 1)
     scales = [noise_scale(snr_db) for snr_db in snrs_db]
     rng = derive_rng(master_seed, tag, params.sf, rf.beta)
     n, m = params.n, rf.m(params)

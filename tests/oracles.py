@@ -104,6 +104,13 @@ def pairwise_errors(sf: int, beta: float, snr_db: float) -> np.ndarray:
     return marcum_q1(a, b) - 0.5 * np.exp(log_i0(a * b) - (a * a + b * b) / 2.0)
 
 
+def symbols_to_bits(symbols, sf: int) -> np.ndarray:
+    """Natural-binary bit expansion, sf bits per symbol, most significant first: the reference for bit_errors."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    shifts = np.arange(sf - 1, -1, -1)
+    return ((symbols[:, None] >> shifts[None, :]) & 1).reshape(-1)
+
+
 def mean_bit_distance(sf: int) -> np.ndarray:
     """Per offset k in [0, n): the natural-binary Hamming distance from s to (s + k) mod n, averaged over all s."""
     n = 1 << sf

@@ -159,10 +159,11 @@ class TestThresholdTable:
         with pytest.raises(ValueError):
             ThresholdTable(entries=entries, target_ser=1e-3, trials=10_000, seed=0).validate()
 
-    @pytest.mark.parametrize("trials", [9999, -5])
-    def test_validate_rejects_too_few_trials(self, trials):
+    @pytest.mark.parametrize("trials, message", [(9999, "need at least 10000 trials to resolve SER 0.001, got 9999"),
+                                                 (-5, "trials must be >= 1, got -5")], ids=["9999", "-5"])
+    def test_validate_rejects_too_few_trials(self, trials, message):
         # calibrate_thresholds needs 10 / target_ser trials, so no calibration wrote this table
-        with pytest.raises(ValueError, match=f"need at least 10000 trials to resolve SER 0.001, got {trials}"):
+        with pytest.raises(ValueError, match=message):
             table_from({1.0: -7.5, 0.5: -4.5}, trials=trials).validate()
 
     def test_validate_rejects_negative_seed(self):

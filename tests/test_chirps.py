@@ -22,8 +22,6 @@ class TestLoraParams:
     def test_derived_constants(self):
         assert SF7.n == 128
         assert SF7.t_s == 128 / 125e3
-        assert SF7.t_chip == 1 / 125e3
-        assert SF7.chirp_rate * SF7.t_s == SF7.bw
         assert SF7.t_s * SF7.bw == SF7.n
 
     @pytest.mark.parametrize("sf", [7, 8, 9, 10, 11, 12])
@@ -63,9 +61,6 @@ class TestReductionFactor:
             assert 1 <= m <= params.n
             assert m == beta * params.n  # exact: betas are eighths, n a power of two
         assert ReductionFactor(1.0).m(params) == params.n
-
-    def test_reduced_period(self):
-        assert ReductionFactor(0.875).t_s_reduced(SF7) == 0.875 * SF7.t_s
 
     def test_beta_is_stored_as_float(self):
         assert type(ReductionFactor(1).beta) is float

@@ -1,6 +1,9 @@
 import csv
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +444,13 @@ def malformed_inputs(tmp_path_factory):
     iqfile.write_iq(root / "beta_0.3.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.3})
     for name, key, value in (("sf_abc", "sf", "abc"), ("bw_1e3", "bw", "1e3"), ("preamble_x", "preamble_len", "x")):
         iqfile.write_iq(root / f"{name}.cf32", frame, {"sf": 7, "bw": 125000.0, "preamble_len": 8, key: value})
+    # one sample that is not finite, inside a decoded window: the payload, the header, a bare symbol
+    for name, buf, where, bad, meta in (("inf_payload", frame, 1696 + 2 * 64 + 5, np.inf, {"preamble_len": 8}),
+                                        ("nan_header", frame, 1312 + 128 + 7, np.nan, {"preamble_len": 8}),
+                                        ("nan_symbol", symbols, 64 + 3, np.nan, {"beta": 0.5})):
+        samples = buf.samples.copy()
+        samples[where] = bad
+        iqfile.write_iq(root / f"{name}.cf32", IqBuffer(samples, SF7.bw), {"sf": 7, "bw": 125000.0, **meta})
     # mod.cf32's sidecar with one more line: a key given twice, a byte that is not UTF-8
     for name, extra in (("sf_twice", b"sf=9\n"), ("not_utf8", b"note=\xff\n")):
         iqfile.write_iq(root / f"{name}.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.5})
@@ -483,6 +493,7 @@ MALFORMED_ARGV = [
     ("demod --in {d}/sf_twice.cf32", 3),
     ("demod --in {d}/not_utf8.cf32", 3),
     ("demod --in {d}/dir.cf32", 1),
+    ("demod --in {d}/nan_symbol.cf32", 1),
     ("demod --in {d}/mod.cf32 --beta 0.3", 2),
     ("demod --in {d}/mod.cf32 --sf 7", 2),
     ("demod --in {d}/mod.cf32 --bw 250000", 2),
@@ -505,6 +516,8 @@ MALFORMED_ARGV = [
     ("frame-decode --in {d}/bw_1e3.cf32", 3),
     ("frame-decode --in {d}/preamble_x.cf32", 3),
     ("frame-decode --in {d}/dir.cf32", 1),
+    ("frame-decode --in {d}/inf_payload.cf32", 1),
+    ("frame-decode --in {d}/nan_header.cf32", 1),
     ("frame-decode --in {d}/frame.cf32 --bw 250000", 2),
     ("peak-experiment --bw 250000 --out {d}/x.csv", 2),
     ("peak-experiment --snr-start nan --out {d}/x.csv", 1),
@@ -571,6 +584,19 @@ def test_malformed_input_exits_with_documented_code(malformed_inputs, capsys, ar
     assert got == code
     assert any(line.startswith("error:") or ": error:" in line for line in err.splitlines())
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, window", [("frame-decode --in {d}/inf_payload.cf32", "2 of 3"),
+                                          ("frame-decode --in {d}/nan_header.cf32", "1 of 3"),
+                                          ("demod --in {d}/nan_symbol.cf32", "1 of 3")])
+def test_non_finite_decoded_window_prints_one_error_line(malformed_inputs, argv, window):
+    """In a fresh interpreter, so that a RuntimeWarning NumPy prints would reach stderr."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "chirplab.cli", *argv.format(d=malformed_inputs).split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: symbol window {window} holds a non-finite sample\n"
 
 
 class TestUnknownFlag:

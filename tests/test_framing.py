@@ -450,15 +450,19 @@ class TestDecodeFrame:
             with pytest.raises(ValueError, match="preamble_len must be an integer"):
                 call()
 
-    @pytest.mark.parametrize("offset", [-1888, -1, 1888.0, 1.5])
-    def test_rejects_offset_not_an_integer_at_least_zero(self, offset):
+    @pytest.mark.parametrize("offset, message", [(-1888, "offset must be >= 0, got -1888"),
+                                                 (-1, "offset must be >= 0, got -1"),
+                                                 (1888.0, "offset must be an integer, got 1888.0"),
+                                                 (1.5, "offset must be an integer, got 1.5")],
+                             ids=["-1888", "-1", "1888.0", "1.5"])
+    def test_rejects_offset_not_an_integer_at_least_zero(self, offset, message):
         # two back-to-back frames: -1888 must not count from the end onto the second one
         _, first = make_frame([4, 5, 6], 0.5)
         _, second = make_frame([1, 2, 3], 0.5)
         buf = IqBuffer(np.concatenate([first.samples, second.samples]), SF7.bw)
         assert len(first) == 1888
         assert decode_frame(buf, 1888, SF7)[0] == [1, 2, 3]
-        with pytest.raises(ValueError, match="offset must be an integer >= 0"):
+        with pytest.raises(ValueError, match=message):
             decode_frame(buf, offset, SF7)
 
     def test_truncated_buffer(self):
@@ -466,6 +470,14 @@ class TestDecodeFrame:
         clipped = IqBuffer(buf.samples[:-200], SF7.bw)
         with pytest.raises(LengthMismatchError):
             decode_frame(clipped, 0, SF7)
+
+    def test_non_finite_lead_in_still_decodes(self):
+        # only the windows decode_frame decodes are checked for non-finite samples
+        _, buf = make_frame([1, 2, 3, 4, 5, 6], 0.5)
+        capture = IqBuffer(np.concatenate([np.full(200, np.nan, dtype=complex), buf.samples]), SF7.bw)
+        offset = detect_preamble(capture, SF7)
+        assert offset == 200
+        assert decode_frame(capture, offset, SF7)[0] == [1, 2, 3, 4, 5, 6]
 
     def test_recovery_at_20db(self):
         rng = np.random.default_rng(123)

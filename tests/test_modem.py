@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,9 @@ from chirplab.modem import (
     decide_symbols,
     demodulate,
     modulate,
-    symbols_to_bits,
 )
 
-from oracles import naive_spectra
+from oracles import naive_spectra, symbols_to_bits
 
 SF7 = LoraParams(sf=7, bw=125e3)
 ALL_RF = [ReductionFactor(b) for b in BETA_TABLE]
@@ -229,10 +230,26 @@ class TestDemodulate:
         with pytest.raises(LengthMismatchError):
             demodulate(base_upchirp(SF7), SF7, ReductionFactor(1.0), 2)
 
-    @pytest.mark.parametrize("count", [-1, 2.0, 1.5])
-    def test_rejects_count_not_an_integer_at_least_zero(self, count):
-        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+    @pytest.mark.parametrize("count, message", [(-1, "count must be >= 0, got -1"),
+                                                (2.0, "count must be an integer, got 2.0"),
+                                                (1.5, "count must be an integer, got 1.5")], ids=["-1", "2.0", "1.5"])
+    def test_rejects_count_not_an_integer_at_least_zero(self, count, message):
+        with pytest.raises(ValueError, match=message):
             demodulate(modulate([1, 2], SF7, FULL_PERIOD), SF7, FULL_PERIOD, count)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, -np.inf)])
+    def test_rejects_a_non_finite_sample_before_the_transform(self, bad):
+        samples = modulate([1, 2, 3, 4], SF7, ReductionFactor(0.5)).samples.copy()
+        samples[[2 * 64 + 5, 3 * 64 + 1]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="symbol window 2 of 4 holds a non-finite sample"):
+                demodulate(IqBuffer(samples, SF7.bw), SF7, ReductionFactor(0.5), 4)
+
+    def test_reads_only_the_windows_it_decodes(self):
+        samples = np.append(modulate([1, 2, 3], SF7, FULL_PERIOD).samples, [np.nan] * 128)
+        results = demodulate(IqBuffer(samples, SF7.bw), SF7, FULL_PERIOD, 3)
+        assert [r.symbol for r in results] == [1, 2, 3]
 
     def test_eq10_truncated_product_equivalence(self):
         # demodulating a truncated symbol == demodulating the truncated full product
