@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor, check_integer
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor, check_distinct, check_integer
 from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate, union_bound_ser
 
 DEFAULT_TARGET_SER = 1e-3
@@ -136,16 +136,14 @@ def _check_non_increasing(triples, along: str, at: str):
 
 @dataclass
 class LinkHistory:
-    """Bounded window of recent per-packet SNR estimates; selection uses its minimum."""
+    """Bounded window of recent per-packet SNR estimates, filled only by record_packet; selection uses its minimum."""
 
     capacity: int = 10
-    recent_snrs: deque = field(default_factory=deque)
+    recent_snrs: deque = field(init=False)
 
     def __post_init__(self):
         self.capacity = check_integer("link history capacity", self.capacity, 1)
-        initial, self.recent_snrs = self.recent_snrs, deque(maxlen=self.capacity)
-        for snr_db in initial:
-            record_packet(self, snr_db)
+        self.recent_snrs = deque(maxlen=self.capacity)
 
     def min_snr_db(self) -> float:
         if not self.recent_snrs:
@@ -212,9 +210,8 @@ def calibrate_thresholds(params_set, betas=BETA_TABLE, target_ser: float = DEFAU
     table must pass validate() both before the first engine pass and when full.
     """
     params_set, rfs = tuple(params_set), [ReductionFactor(beta) for beta in betas]
-    for name, values in (("sf", [params.sf for params in params_set]), ("beta", [rf.beta for rf in rfs])):
-        if not values or len(set(values)) < len(values):
-            raise ValueError(f"calibration needs at least one {name} and none twice, got {values}")
+    check_distinct("sf", (params.sf for params in params_set))
+    check_distinct("beta", (rf.beta for rf in rfs))
     table = ThresholdTable(entries={}, target_ser=target_ser, trials=trials, seed=seed)
     table.validate()  # before any engine pass
     for params in params_set:

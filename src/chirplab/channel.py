@@ -66,13 +66,8 @@ def awgn(buf: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
     return IqBuffer(add_noise(buf.samples, cfg.snr_db, rng), buf.sample_rate)
 
 
-def snr_estimate(results: list[DemodResult]) -> float:
-    """Median per-symbol peak-over-floor SNR estimate in dB; NaN if any estimate is NaN, as np.median gives."""
-    if not results:
-        raise ValueError("cannot estimate SNR from an empty result sequence")
-    values = sorted(r.snr_estimate_db for r in results)
-    if any(map(math.isnan, values)):
-        return math.nan
-    mid = len(values) // 2
-    # np.median's mean of the two middle values: their sum over 2
-    return values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
+def snr_estimate(result: DemodResult) -> float:
+    """Median over a demodulation record's windows of the peak-over-floor SNR in dB; ValueError if it has none."""
+    if not len(result):
+        raise ValueError("cannot estimate SNR from an empty demodulation record")
+    return float(np.median(result.snr_db))

@@ -30,6 +30,13 @@ def check_integer(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def check_distinct(name: str, values) -> tuple:
+    """The one grid-list rule: values as a tuple; ValueError unless it holds at least one value and none twice."""
+    if not (values := tuple(values)) or len(set(values)) < len(values):
+        raise ValueError(f"need at least one {name} and none twice, got {list(values)}")
+    return values
+
+
 @dataclass(frozen=True)
 class LoraParams:
     """Spreading factor, bandwidth, and the symbol timing they induce; an integral sf such as 7.0 is stored as int."""

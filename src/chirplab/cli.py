@@ -104,10 +104,10 @@ def cmd_demod(args) -> int:
         raise modem.LengthMismatchError(
             f"{len(buf)} samples is not a whole number of {m}-sample symbols; pass --count to decode a prefix"
         )
-    results = modem.demodulate(buf, params, rf, count)
-    print(" ".join(str(r.symbol) for r in results))
-    for idx, r in enumerate(results):
-        print(f"{idx} {r.symbol} {r.peak_magnitude:.6f} {r.noise_floor:.6f} {r.snr_estimate_db:.3f}")
+    result = modem.demodulate(buf, params, rf, count)
+    print(" ".join(map(str, result.symbols.tolist())))
+    for idx, row in enumerate(zip(result.symbols, result.peaks, result.floors, result.snr_db)):
+        print("{} {} {:.6f} {:.6f} {:.3f}".format(idx, *row))
     return 0
 
 

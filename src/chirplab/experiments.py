@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor, check_integer
+from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor, check_distinct, check_integer
 from .montecarlo import STREAM_VERSION, peak_statistics, run_error_trials, snr_grid
 
 PEAK_CSV_COLUMNS = ("sf", "beta", "snr_db", "mean_peak", "mean_peak_ratio_vs_beta1", "trials", "seed", "stream")
@@ -33,10 +33,8 @@ class ExperimentConfig:
     bins_csv: str = ""
 
     def __post_init__(self):
-        self.sf_list = tuple(LoraParams(sf, BANDWIDTHS_HZ[0]).sf for sf in self.sf_list)
-        self.beta_list = tuple(ReductionFactor(b).beta for b in self.beta_list)
-        if not (self.sf_list and self.beta_list):
-            raise ValueError("a sweep needs at least one sf and one beta")
+        self.sf_list = check_distinct("sf", (LoraParams(sf, BANDWIDTHS_HZ[0]).sf for sf in self.sf_list))
+        self.beta_list = check_distinct("beta", (ReductionFactor(b).beta for b in self.beta_list))
         check_integer("trials", self.trials, 1)
         check_integer("seed", self.seed, 0)
         self.snr_values()  # raises ValueError on a bad SNR range

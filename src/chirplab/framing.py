@@ -81,10 +81,10 @@ class FrameSpec:
 
 @dataclass(frozen=True)
 class FrameDiagnostics:
-    """Per-symbol demodulation results from a decoded frame."""
+    """The demodulation records of a decoded frame: one for the 3 header windows, one for the payload's."""
 
-    header: list[DemodResult]
-    payload: list[DemodResult]
+    header: DemodResult
+    payload: DemodResult
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,8 @@ def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
     n = params.n
     offset, preamble_len = check_integer("offset", offset, 0), check_integer("preamble_len", preamble_len, 1)
     header_start = offset + _preamble_samples(preamble_len, n)
-    header_results = demodulate(IqBuffer(buf.samples[header_start:], params.bw), params, FULL_PERIOD, 3)
-    length_sym, beta_sym, checksum_sym = (r.symbol for r in header_results)
+    header = demodulate(IqBuffer(buf.samples[header_start:], params.bw), params, FULL_PERIOD, 3)
+    length_sym, beta_sym, checksum_sym = header.symbols.tolist()
     if (length_sym + beta_sym) % n != checksum_sym:
         raise ChecksumMismatchError(
             f"header checksum {checksum_sym} != ({length_sym} + {beta_sym}) mod {n}"
@@ -236,11 +236,8 @@ def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
     if beta_sym >= len(BETA_TABLE):
         raise UnknownBetaIndexError(f"beta index {beta_sym} outside table of {len(BETA_TABLE)} entries")
     rf = ReductionFactor.from_index(beta_sym)
-    payload_start = header_start + 3 * n
-    payload_buf = IqBuffer(buf.samples[payload_start:], params.bw)
-    payload_results = demodulate(payload_buf, params, rf, length_sym)
-    payload = [r.symbol for r in payload_results]
-    return payload, rf, FrameDiagnostics(header=header_results, payload=payload_results)
+    payload = demodulate(IqBuffer(buf.samples[header_start + 3 * n:], params.bw), params, rf, length_sym)
+    return payload.symbols.tolist(), rf, FrameDiagnostics(header=header, payload=payload)
 
 
 def time_on_air(spec: FrameSpec, params: LoraParams) -> AirtimeReport:

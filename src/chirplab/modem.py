@@ -23,14 +23,17 @@ class LengthMismatchError(ValueError):
     """A buffer or file does not contain the number of samples implied by its parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemodResult:
-    """One demodulated symbol with its transform-peak statistics."""
+    """One demodulation record: aligned 1-D columns, one entry per window; len() is the window count."""
 
-    symbol: int
-    peak_magnitude: float
-    noise_floor: float
-    snr_estimate_db: float
+    symbols: np.ndarray
+    peaks: np.ndarray
+    floors: np.ndarray
+    snr_db: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.symbols)
 
 
 def modulate(symbols, params: LoraParams, rf: ReductionFactor) -> IqBuffer:
@@ -55,6 +58,7 @@ def _window_spectra(windows: np.ndarray, params: LoraParams) -> np.ndarray:
     return np.abs(np.fft.fft(windows * down[None, :], n=params.n, axis=1))
 
 
+# No caller in src/: it stays only because perfbench/tracer.py wraps montecarlo.decide_symbols (ROADMAP item 8).
 def decide_symbols(windows: np.ndarray, params: LoraParams) -> np.ndarray:
     """Hard symbol decisions for a (count, m) block: argmax bin per window.
 
@@ -72,20 +76,22 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     (a power of two), so that median is a single order statistic, and since
     the peak is a row maximum, it is also order statistic (n - 2) // 2 of the
     whole row: one partition, with no masked copy. The ratio is the peak over
-    the floor clamped at NOISE_FLOOR_MIN.
+    the floor clamped at NOISE_FLOOR_MIN. The floors are a copy, so no partitioned block outlives the call.
     """
     n = mags.shape[1]
     # argmax takes the lowest bin on ties
     bins = mags.argmax(axis=1)
     peaks = mags.max(axis=1)
     mid = (n - 2) // 2
-    floors = np.partition(mags, mid, axis=1)[:, mid]
+    floors = np.partition(mags, mid, axis=1)[:, mid].copy()
     return bins, peaks, floors, peaks / np.maximum(floors, NOISE_FLOOR_MIN)
 
 
-def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: int) -> list[DemodResult]:
-    """Slice buf into count consecutive m-sample windows and decode each: peak bin, peak, median noise floor.
+def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: int) -> DemodResult:
+    """Slice buf into count consecutive m-sample windows and decode them into one DemodResult of count entries.
 
+    Per window: symbols holds the peak bin, peaks its magnitude, floors the median of the other n - 1 bins,
+    and snr_db 20 log10(peak / floor), the floor clamped at NOISE_FLOOR_MIN, never below 0 dB.
     ValueError unless count is an integer >= 0, or if a window holds a sample that is not finite (checked
     before any transform, and only in the count windows); LengthMismatchError if buf is shorter than them.
     """
@@ -101,9 +107,7 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
         raise ValueError(f"symbol window {finite.argmin()} of {count} holds a non-finite sample")
     symbols, peaks, floors, ratios = _peak_and_floor(_window_spectra(windows, params))
     # the peak is a row maximum, so only a peak under the clamp reads below 1: 0 dB, not -inf
-    snr_db = 20.0 * np.log10(np.maximum(ratios, 1.0))
-    columns = (symbols.tolist(), peaks.tolist(), floors.tolist(), snr_db.tolist())
-    return [DemodResult(*row) for row in zip(*columns)]
+    return DemodResult(symbols, peaks, floors, 20.0 * np.log10(np.maximum(ratios, 1.0)))
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,13 @@ def unit_buffer(count):
     return IqBuffer(np.ones(count, dtype=complex), SF7.bw)
 
 
+def record(snr_db):
+    """A demodulation record of len(snr_db) windows whose other columns are zero."""
+    snr_db = np.asarray(snr_db, dtype=float)
+    zeros = np.zeros(len(snr_db))
+    return DemodResult(zeros.astype(np.intp), zeros, zeros, snr_db)
+
+
 class TestAwgn:
     def test_effectively_noiseless_at_300db(self):
         buf = unit_buffer(1000)
@@ -79,20 +86,19 @@ class TestChannelConfig:
         (0.0, -1),
         (0.0, 1.7),
     ])
-    def test_rejects_what_noise_scale_or_check_seed_rejects(self, snr_db, seed):
+    def test_rejects_what_noise_scale_or_check_integer_rejects(self, snr_db, seed):
         with pytest.raises(ValueError):
             ChannelConfig(snr_db=snr_db, seed=seed)
 
 
 class TestSnrEstimate:
     def test_single_result_formula(self):
-        res = DemodResult(symbol=0, peak_magnitude=128.0, noise_floor=1.0,
-                          snr_estimate_db=20 * np.log10(128.0))
-        assert snr_estimate([res]) == pytest.approx(42.14, abs=0.01)
+        res = record([20 * np.log10(128.0)])
+        assert snr_estimate(res) == pytest.approx(42.14, abs=0.01)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            snr_estimate([])
+            snr_estimate(record([]))
 
     @pytest.mark.parametrize("count", [1, 2, 7, 20])
     def test_equals_numpy_median(self, count):
@@ -101,7 +107,7 @@ class TestSnrEstimate:
             values = rng.exponential(10.0, count)
             if spoil is not None:
                 values[rng.integers(0, count)] = spoil
-            got = snr_estimate([DemodResult(0, 1.0, 1.0, float(v)) for v in values])
+            got = snr_estimate(record(values))
             want = float(np.median(values))
             assert type(got) is float
             if spoil is np.nan:

@@ -202,6 +202,13 @@ class TestFrameCommands:
             assert code == 0
             assert out.splitlines()[0] == "99 3 77"
 
+    def test_empty_payload_prints_no_snr_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.cf32"
+        run(capsys, "frame-encode", "--sf", 7, "--beta", 0.75, "--payload", "", "--out", path)
+        code, out, _ = run(capsys, "frame-decode", "--in", path)
+        assert code == 0
+        assert out == "\nbeta=0.75 index=2 offset=0\n"
+
     def test_negative_seed_message_names_the_seed(self, tmp_path, capsys):
         path = tmp_path / "frame.cf32"
         code, _, err = run(capsys, "frame-encode", "--sf", 7, "--payload", 1, "--snr", 0, "--seed", -1, "--out", path)
@@ -526,6 +533,8 @@ MALFORMED_ARGV = [
     ("peak-experiment --betas= --out {d}/x.csv", 1),
     ("peak-experiment --seed -1 --out {d}/x.csv", 1),
     ("peak-experiment --snr-start -7000 --snr-stop -7000 --out {d}/x.csv", 1),
+    ("peak-experiment --betas 0.5,0.5 --out {d}/x.csv", 1),
+    ("peak-experiment --sf 7,8,7 --out {d}/x.csv", 1),
     ("peak-experiment --snr 0 --out {d}/x.csv", 2),
     ("ber-sweep --snr-stop inf --out {d}/x.csv", 1),
     ("ber-sweep --snr-step nan --out {d}/x.csv", 1),
@@ -537,6 +546,8 @@ MALFORMED_ARGV = [
     ("ber-sweep --seed -1 --out {d}/x.csv", 1),
     ("ber-sweep --snr-start -7000 --snr-stop -7000 --out {d}/x.csv", 1),
     ("ber-sweep --betas 1.0 --snr-start -6160 --snr-stop -6160 --trials 100 --out {d}/x.csv", 1),
+    ("ber-sweep --sf 7,7 --out {d}/x.csv", 1),
+    ("ber-sweep --betas 1.0,0.5,1 --out {d}/x.csv", 1),
     ("ber-sweep --snr 0 --out {d}/x.csv", 2),
     ("ber-sweep --bw 250000 --out {d}/x.csv", 2),
     ("calibrate --target-ser 0 --out {d}/x.csv", 1),

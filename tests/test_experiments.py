@@ -41,6 +41,10 @@ class TestExperimentConfig:
         dict(sf_list=(7.9,)),
         dict(seed=1.7),
         dict(trials=2.5),
+        dict(sf_list=()),
+        # repeats count after normalizing: 7.0 is sf 7, 1 is beta 1.0
+        dict(sf_list=(7, 7.0)),
+        dict(beta_list=(1, 0.5, 1.0)),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

@@ -381,7 +381,7 @@ class TestDecodeFrame:
         decoded, rf, diag = decode_frame(buf, 0, params)
         assert decoded == payload
         assert rf.beta == beta
-        assert [r.symbol for r in diag.header] == list(spec.header_symbols(params))
+        assert diag.header.symbols.tolist() == list(spec.header_symbols(params))
         assert len(diag.payload) == len(payload)
 
     def test_thousand_random_specs_across_grid(self):

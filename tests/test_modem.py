@@ -132,49 +132,49 @@ class TestBatchKernel:
 
 
 class TestDemodulateSymbol:
-    # one m-sample window through demodulate with count 1
+    # one m-sample window through demodulate with count 1: (symbol, peak, floor, snr_db)
     @staticmethod
     def demodulate_one(window: IqBuffer, rf=FULL_PERIOD):
-        return demodulate(window, SF7, rf, 1)[0]
+        result = demodulate(window, SF7, rf, 1)
+        return result.symbols[0], result.peaks[0], result.floors[0], result.snr_db[0]
 
     def test_exhaustive_noiseless_sf7_all_betas(self):
         for rf in ALL_RF:
             m = rf.m(SF7)
             for k in range(128):
-                res = self.demodulate_one(truncate(shifted_upchirp(SF7, k), rf, SF7), rf)
-                assert res.symbol == k
-                assert res.peak_magnitude == pytest.approx(m, rel=1e-6)
+                symbol, peak, _, _ = self.demodulate_one(truncate(shifted_upchirp(SF7, k), rf, SF7), rf)
+                assert symbol == k
+                assert peak == pytest.approx(m, rel=1e-6)
 
     def test_noiseless_peak_ratio_is_beta(self):
-        base = self.demodulate_one(shifted_upchirp(SF7, 5)).peak_magnitude
+        base = self.demodulate_one(shifted_upchirp(SF7, 5))[1]
         for beta in (0.875, 0.5):
             rf = ReductionFactor(beta)
-            peak = self.demodulate_one(truncate(shifted_upchirp(SF7, 5), rf, SF7), rf).peak_magnitude
+            peak = self.demodulate_one(truncate(shifted_upchirp(SF7, 5), rf, SF7), rf)[1]
             assert peak / base == pytest.approx(beta, abs=1e-9)
 
     def test_noiseless_snr_estimate_is_large(self):
-        res = self.demodulate_one(shifted_upchirp(SF7, 9))
-        assert res.snr_estimate_db >= 35.0
+        assert self.demodulate_one(shifted_upchirp(SF7, 9))[3] >= 35.0
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             self.demodulate_one(IqBuffer(np.empty(0, dtype=complex), SF7.bw))
 
     def test_all_zero_window_ties_break_to_lowest_bin(self):
-        res = self.demodulate_one(IqBuffer(np.zeros(128, dtype=complex), SF7.bw))
-        assert res.symbol == 0
-        assert res.peak_magnitude == 0.0
-        assert res.snr_estimate_db == 0.0
+        symbol, peak, _, snr_db = self.demodulate_one(IqBuffer(np.zeros(128, dtype=complex), SF7.bw))
+        assert symbol == 0
+        assert peak == 0.0
+        assert snr_db == 0.0
 
     def test_peak_is_max_bin_and_floor_is_median(self):
         rng = np.random.default_rng(3)
         window = IqBuffer(rng.standard_normal(128) + 1j * rng.standard_normal(128), SF7.bw)
-        res = self.demodulate_one(window)
+        symbol, peak, floor, snr_db = self.demodulate_one(window)
         mags = naive_spectra(window.samples[None, :], 128)[0]
-        assert res.symbol == mags.argmax()
-        assert res.peak_magnitude == pytest.approx(mags.max())
-        assert res.noise_floor == pytest.approx(np.median(np.delete(mags, mags.argmax())))
-        assert res.snr_estimate_db == pytest.approx(20 * np.log10(res.peak_magnitude / res.noise_floor))
+        assert symbol == mags.argmax()
+        assert peak == pytest.approx(mags.max())
+        assert floor == pytest.approx(np.median(np.delete(mags, mags.argmax())))
+        assert snr_db == pytest.approx(20 * np.log10(peak / floor))
 
 
 class TestPeakAndFloor:
@@ -213,18 +213,21 @@ class TestDemodulate:
         rng = np.random.default_rng(sf)
         symbols = rng.integers(0, params.n, 50)
         for rf in ALL_RF:
-            results = demodulate(modulate(symbols, params, rf), params, rf, len(symbols))
-            assert [r.symbol for r in results] == list(symbols)
+            result = demodulate(modulate(symbols, params, rf), params, rf, len(symbols))
+            np.testing.assert_array_equal(result.symbols, symbols)
 
-    def test_results_hold_python_numbers(self):
+    def test_result_is_aligned_columns(self):
         rng = np.random.default_rng(4)
         noisy = add_noise(modulate([3, 90, 127], SF7, FULL_PERIOD).samples, 0.0, rng)
-        for r in demodulate(IqBuffer(noisy, SF7.bw), SF7, FULL_PERIOD, 3):
-            assert type(r.symbol) is int
-            assert all(type(v) is float for v in (r.peak_magnitude, r.noise_floor, r.snr_estimate_db))
+        result = demodulate(IqBuffer(noisy, SF7.bw), SF7, FULL_PERIOD, 3)
+        assert len(result) == 3
+        columns = (result.symbols, result.peaks, result.floors, result.snr_db)
+        assert [(c.shape, c.dtype.kind) for c in columns] == [((3,), "i")] + [((3,), "f")] * 3
 
     def test_count_zero(self):
-        assert demodulate(base_upchirp(SF7), SF7, ReductionFactor(1.0), 0) == []
+        result = demodulate(base_upchirp(SF7), SF7, ReductionFactor(1.0), 0)
+        assert len(result) == 0 and not result
+        assert all(c.shape == (0,) for c in (result.symbols, result.peaks, result.floors, result.snr_db))
 
     def test_rejects_short_buffer(self):
         with pytest.raises(LengthMismatchError):
@@ -248,8 +251,8 @@ class TestDemodulate:
 
     def test_reads_only_the_windows_it_decodes(self):
         samples = np.append(modulate([1, 2, 3], SF7, FULL_PERIOD).samples, [np.nan] * 128)
-        results = demodulate(IqBuffer(samples, SF7.bw), SF7, FULL_PERIOD, 3)
-        assert [r.symbol for r in results] == [1, 2, 3]
+        result = demodulate(IqBuffer(samples, SF7.bw), SF7, FULL_PERIOD, 3)
+        assert result.symbols.tolist() == [1, 2, 3]
 
     def test_eq10_truncated_product_equivalence(self):
         # demodulating a truncated symbol == demodulating the truncated full product
@@ -257,11 +260,11 @@ class TestDemodulate:
         for rf in ALL_RF:
             m = rf.m(SF7)
             for k in rng.integers(0, 128, 8):
-                direct = demodulate(truncate(shifted_upchirp(SF7, int(k)), rf, SF7), SF7, rf, 1)[0]
+                direct = demodulate(truncate(shifted_upchirp(SF7, int(k)), rf, SF7), SF7, rf, 1)
                 full_product = shifted_upchirp(SF7, int(k)).samples * base_downchirp(SF7).samples
                 via_product = np.abs(np.fft.fft(full_product[:m], 128))
-                assert direct.symbol == via_product.argmax() == k
-                assert direct.peak_magnitude == via_product.max()
+                assert direct.symbols[0] == via_product.argmax() == k
+                assert direct.peaks[0] == via_product.max()
 
     def test_ser_direction_under_noise(self):
         # lower beta loses symbol energy: SER at fixed SNR grows as beta shrinks

@@ -104,7 +104,7 @@ def test_bit_error_rate_within_analytic_bound(sf, beta):
 
 
 @pytest.mark.parametrize("trials", [0, -3, 2.5, 2000.0])
-def test_engine_rejects_what_check_trials_rejects(trials):
+def test_engine_rejects_what_check_integer_rejects(trials):
     # a float count used to pass the engine's own check and die in range() with a bare TypeError
     with pytest.raises(ValueError, match="trials must be"):
         run_error_trials(LoraParams(sf=7, bw=125e3), ReductionFactor(1.0), [0.0], trials, 1)
@@ -138,7 +138,7 @@ def test_mean_peak_matches_gathered_engine():
 
 
 @pytest.mark.parametrize("seed", [-1, 1.7, 1.0])
-def test_derive_rng_rejects_what_check_seed_rejects(seed):
+def test_derive_rng_rejects_what_check_integer_rejects(seed):
     # a truncated 1.7 would draw seed 1's stream under another seed's name
     with pytest.raises(ValueError, match="seed must be"):
         montecarlo.derive_rng(seed, TAG_CALIBRATION, 7, 1.0)
