@@ -18,6 +18,9 @@ from .chirps import IqBuffer, LoraParams, ReductionFactor, _base_ramp, _symbol_v
 # bins are numerically zero (noiseless input).
 NOISE_FLOOR_MIN = 1e-12
 
+# demodulate transforms the windows of at most this many transform samples at a time, as the preamble search does
+_DEMOD_BLOCK_SAMPLES = 1 << 17
+
 
 class LengthMismatchError(ValueError):
     """A buffer or file does not contain the number of samples implied by its parameters."""
@@ -76,14 +79,14 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     (a power of two), so that median is a single order statistic, and since
     the peak is a row maximum, it is also order statistic (n - 2) // 2 of the
     whole row: one partition, with no masked copy. The ratio is the peak over
-    the floor clamped at NOISE_FLOOR_MIN. The floors are a copy, so no partitioned block outlives the call.
+    the floor clamped at NOISE_FLOOR_MIN.
     """
     n = mags.shape[1]
     # argmax takes the lowest bin on ties
     bins = mags.argmax(axis=1)
     peaks = mags.max(axis=1)
     mid = (n - 2) // 2
-    floors = np.partition(mags, mid, axis=1)[:, mid].copy()
+    floors = np.partition(mags, mid, axis=1)[:, mid]
     return bins, peaks, floors, peaks / np.maximum(floors, NOISE_FLOOR_MIN)
 
 
@@ -94,6 +97,8 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
     and snr_db 20 log10(peak / floor), the floor clamped at NOISE_FLOOR_MIN, never below 0 dB.
     ValueError unless count is an integer >= 0, or if a window holds a sample that is not finite (checked
     before any transform, and only in the count windows); LengthMismatchError if buf is shorter than them.
+    The windows are transformed in blocks of at most 2**17 transform samples, so the temporaries stay
+    bounded on long captures; each window's result does not depend on the block it falls in.
     """
     count = check_integer("count", count, 0)
     m = rf.m(params)
@@ -105,7 +110,12 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
     finite = np.isfinite(windows).all(axis=1)
     if not finite.all():
         raise ValueError(f"symbol window {finite.argmin()} of {count} holds a non-finite sample")
-    symbols, peaks, floors, ratios = _peak_and_floor(_window_spectra(windows, params))
+    symbols = np.empty(count, dtype=np.intp)
+    peaks, floors, ratios = np.empty(count), np.empty(count), np.empty(count)
+    block = max(1, _DEMOD_BLOCK_SAMPLES // params.n)
+    for lo in range(0, count, block):
+        rows = slice(lo, lo + block)
+        symbols[rows], peaks[rows], floors[rows], ratios[rows] = _peak_and_floor(_window_spectra(windows[rows], params))
     # the peak is a row maximum, so only a peak under the clamp reads below 1: 0 dB, not -inf
     return DemodResult(symbols, peaks, floors, 20.0 * np.log10(np.maximum(ratios, 1.0)))
 

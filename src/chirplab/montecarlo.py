@@ -6,7 +6,9 @@ by k. So a trial needs only the n-point transform of an m-sample window of
 ones (a tone at bin 0) plus transformed noise: its winning offset e is the
 argmax bin, it errs when e != 0, and a sent symbol k is decided as
 (k + e) mod n. The mean peak is rotation-invariant, and trial 0's spectrum is
-reported rotated to bin 0.
+reported rotated to bin 0. At beta = 1 the bins are independent, so a trial
+draws only bin 0 and the strongest other bin, with no transform
+(_full_period_trials).
 
 The SNR is per sample over the full band at one sample per chip, so sf, beta
 and the SNR fix every result here: the bandwidth only names the sample rate,
@@ -18,9 +20,10 @@ sf, beta_milli]). The SNR is not in the key: each chunk draws unit-variance
 noise once and every SNR point scales that same noise, so a row does not
 depend on which other SNRs were requested, and one pass over a stream scores
 any number of SNR points (the calibration search scores a block of its grid
-per pass). Chunks hold max(1, 2**15 // n) trials (256 at sf 7, 32 at sf 10,
-8 at sf 12), so one complex array is 512 KB at every sf; the chunk size is
-part of the stream (STREAM_VERSION).
+per pass). Below beta = 1, chunks hold max(1, 2**15 // n) trials (256 at
+sf 7, 32 at sf 10, 8 at sf 12), so one complex array is 512 KB at every sf;
+at beta = 1 they hold 2**13 trials. The chunk sizes are part of the stream
+(STREAM_VERSION).
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .chirps import _base_ramp  # noqa: F401
 from .modem import decide_symbols  # noqa: F401
 
 # Version of the mapping from (seed, parameters) to output bytes; written in every CSV.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 # Stream tags decouple experiments that share a master seed.
 TAG_PEAK = 0
@@ -46,6 +49,7 @@ TAG_BER = 1
 TAG_CALIBRATION = 2
 
 _CHUNK_SAMPLES = 1 << 15
+_FULL_PERIOD_CHUNK = 1 << 13
 
 
 def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
@@ -70,19 +74,31 @@ def derive_rng(master_seed: int, tag: int, sf: int, beta: float) -> np.random.Ge
 
 
 def _received(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int, master_seed: int, tag: int):
-    """Yield (i, sent, mags) per chunk of at most max(1, 2**15 // n) trials and per SNR point snrs_db[i].
+    """Yield (i, sent, offsets, peaks, bins) per chunk of trials and per SNR point snrs_db[i].
 
-    sent holds random symbols, and mags the bin magnitudes |S + sigma * W|
-    with S the dechirped symbol 0 (the n-point transform of m ones), W the
-    transforms of m samples of unit-variance complex noise (variance 1 per
-    component), one row per trial, and sigma^2 = 10**(-snr_db/10) / 2 per
-    component. Each chunk draws symbols, then noise, from the evaluation's
-    own stream, so results depend only on the seed and the fixed chunk size.
+    sent holds the chunk's random symbols, offsets each trial's winning bin e
+    (0 when the decision is right) and peaks its largest bin magnitude; bins
+    is trial 0's n bin magnitudes on the first chunk and None after it. The
+    noise is sigma times unit-variance complex noise, sigma^2 = 10**(-snr_db/10) / 2
+    per component, drawn once per chunk for every SNR point from the
+    evaluation's own stream, so results depend only on the seed and the
+    fixed chunk sizes.
     """
     trials = check_integer("trials", trials, 1)
     scales = [noise_scale(snr_db) for snr_db in snrs_db]
     rng = derive_rng(master_seed, tag, params.sf, rf.beta)
-    n, m = params.n, rf.m(params)
+    if rf.m(params) == params.n:
+        return _full_period_trials(rng, params.n, scales, trials)
+    return _truncated_trials(rng, params.n, rf.m(params), scales, trials)
+
+
+def _truncated_trials(rng: np.random.Generator, n: int, m: int, scales, trials: int):
+    """_received for m < n: per chunk of max(1, 2**15 // n) trials, symbols, then m noise samples per trial.
+
+    The bin magnitudes are |S + sigma * W|, with S the dechirped symbol 0
+    (the n-point transform of m ones) and W the transforms of the noise, one
+    row per trial.
+    """
     tone = np.fft.fft(np.ones(m), n=n)
     chunk = max(1, _CHUNK_SAMPLES // n)
     for done in range(0, trials, chunk):
@@ -94,22 +110,56 @@ def _received(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int, mas
             spectra += tone
             mags = np.abs(spectra)
             del spectra  # held across the yield, it slowed sf 10 trials about 10% (2-vCPU x86 VM)
-            yield i, sent, mags
+            offsets = mags.argmax(axis=1)
+            bins = mags[0].copy() if done == 0 else None
+            yield i, sent, offsets, mags[np.arange(count), offsets], bins
+
+
+def _full_period_trials(rng: np.random.Generator, n: int, scales, trials: int):
+    """_received for m = n: per chunk of 2**13 trials, only bin 0 and the strongest other bin.
+
+    The transform of n white samples is white, with variance n per component
+    in every bin, and the tone is n in bin 0 and 0 elsewhere. So a trial
+    draws its symbol, bin 0's complex noise, the largest of the n - 1 other
+    bin energies (2n times the maximum of n - 1 iid Exp(1) variables, by its
+    inverse CDF) and that bin's index, uniform on 1 .. n - 1; each draw is
+    one vector per chunk, in that order. Given their maximum, the other
+    n - 2 energies are iid Exp(1) truncated below it: trial 0 of the first
+    chunk then draws them, in bin order, so that its bins row is complete.
+    """
+    for done in range(0, trials, _FULL_PERIOD_CHUNK):
+        count = min(_FULL_PERIOD_CHUNK, trials - done)
+        sent = rng.integers(0, n, count)
+        bin0 = rng.standard_normal((count, 2)).view(np.complex128)[:, 0] * math.sqrt(n)
+        with np.errstate(divide="ignore"):  # a uniform of exactly 0 is a maximum of 0
+            largest = -np.log(-np.expm1(np.log(rng.random(count)) / (n - 1)))
+        rival_bins = rng.integers(1, n, count)
+        rivals = np.sqrt(2 * n * largest)
+        if done == 0:
+            rest = -np.log1p(rng.random(n - 2) * np.expm1(-largest[0]))
+            first = np.sqrt(2 * n * np.insert(rest, rival_bins[0] - 1, largest[0]))
+        for i, scale in enumerate(scales):
+            tones = np.abs(n + scale * bin0)
+            others = scale * rivals
+            # argmax keeps the lowest bin on a tie, so bin 0 wins one
+            offsets = np.where(others > tones, rival_bins, 0)
+            bins = np.concatenate(([tones[0]], scale * first)) if done == 0 else None
+            yield i, sent, offsets, np.maximum(tones, others), bins
 
 
 def run_error_trials(params: LoraParams, rf: ReductionFactor, snrs_db, trials: int,
                      master_seed: int) -> list[tuple[float, float]]:
     """Transmit random symbols through AWGN and return one (ser, ber) per SNR in snrs_db.
 
-    Every SNR point scales the same noise draw. BER uses the natural-binary
+    Every SNR point scales the same noise draw. A sent symbol k is decided as
+    (k + e) mod n, e being the winning offset. BER uses the natural-binary
     mapping, sf bits per symbol.
     """
     sym_errs = [0] * len(snrs_db)
     biterrs = [0] * len(snrs_db)
-    for i, sent, mags in _received(params, rf, snrs_db, trials, master_seed, TAG_BER):
-        offset = mags.argmax(axis=1)
-        sym_errs[i] += int(np.count_nonzero(offset))
-        biterrs[i] += bit_errors(sent, (sent + offset) % params.n, params.sf)
+    for i, sent, offsets, _, _ in _received(params, rf, snrs_db, trials, master_seed, TAG_BER):
+        sym_errs[i] += int(np.count_nonzero(offsets))
+        biterrs[i] += bit_errors(sent, (sent + offsets) % params.n, params.sf)
     return [(errs / trials, bits / (trials * params.sf)) for errs, bits in zip(sym_errs, biterrs)]
 
 
@@ -121,8 +171,8 @@ def symbol_error_rate(params: LoraParams, rf: ReductionFactor, snrs_db, trials: 
     the seed and its own SNR, not on which other points share the call.
     """
     sym_errs = [0] * len(snrs_db)
-    for i, _, mags in _received(params, rf, snrs_db, trials, master_seed, TAG_CALIBRATION):
-        sym_errs[i] += int(np.count_nonzero(mags.argmax(axis=1)))
+    for i, _, offsets, _, _ in _received(params, rf, snrs_db, trials, master_seed, TAG_CALIBRATION):
+        sym_errs[i] += int(np.count_nonzero(offsets))
     return [errs / trials for errs in sym_errs]
 
 
@@ -134,10 +184,10 @@ def peak_statistics(params: LoraParams, rf: ReductionFactor, snrs_db, trials: in
     """
     peak_sums = [0.0] * len(snrs_db)
     first_bins = [None] * len(snrs_db)
-    for i, _, mags in _received(params, rf, snrs_db, trials, master_seed, TAG_PEAK):
-        if first_bins[i] is None:
-            first_bins[i] = mags[0].copy()
-        peak_sums[i] += float(mags.max(axis=1).sum())
+    for i, _, _, peaks, bins in _received(params, rf, snrs_db, trials, master_seed, TAG_PEAK):
+        if bins is not None:
+            first_bins[i] = bins
+        peak_sums[i] += float(peaks.sum())
     return [(peak_sum / trials, bins) for peak_sum, bins in zip(peak_sums, first_bins)]
 
 

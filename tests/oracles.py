@@ -75,6 +75,18 @@ def analytic_ser(sf: int, snr_db: float) -> float:
     return _orthogonal_ser(n, n * 10.0 ** (snr_db / 10.0))
 
 
+def analytic_ber(sf: int, snr_db: float) -> float:
+    """Natural-binary bit error rate of dechirp-and-argmax detection at beta = 1 in AWGN.
+
+    The n - 1 wrong bins are exchangeable, so a wrong decision is uniform
+    over the other n - 1 symbols, which differ from the sent one in
+    sf n / 2 bits in all: a symbol error costs n / (2 (n - 1)) of its sf bits
+    on average.
+    """
+    n = 1 << sf
+    return analytic_ser(sf, snr_db) * n / (2 * (n - 1))
+
+
 def orthogonal_subset_ser(sf: int, beta: float, snr_db: float) -> float:
     """Lower bound on the symbol error rate of dechirp-and-argmax detection of m = beta n samples.
 

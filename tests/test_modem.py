@@ -224,6 +224,20 @@ class TestDemodulate:
         columns = (result.symbols, result.peaks, result.floors, result.snr_db)
         assert [(c.shape, c.dtype.kind) for c in columns] == [((3,), "i")] + [((3,), "f")] * 3
 
+    @pytest.mark.parametrize("sf, beta, count", [(7, 0.5, 2600), (12, 0.75, 70)])
+    def test_blocks_give_the_one_batch_result(self, sf, beta, count):
+        # 2600 sf 7 windows fill two 1024-window blocks and part of a third, 70 sf 12 windows two 32-window
+        # blocks and part of a third; every column must be bit-identical to one transform of all windows
+        params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
+        rng = np.random.default_rng(sf)
+        samples = add_noise(modulate(rng.integers(0, params.n, count), params, rf).samples, -5.0, rng)
+        result = demodulate(IqBuffer(samples, params.bw), params, rf, count)
+        symbols, peaks, floors, ratios = _peak_and_floor(_window_spectra(samples.reshape(count, -1), params))
+        for got, want in ((result.symbols, symbols), (result.peaks, peaks), (result.floors, floors),
+                          (result.snr_db, 20.0 * np.log10(np.maximum(ratios, 1.0)))):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_count_zero(self):
         result = demodulate(base_upchirp(SF7), SF7, ReductionFactor(1.0), 0)
         assert len(result) == 0 and not result

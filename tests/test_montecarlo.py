@@ -9,6 +9,7 @@ from chirplab.chirps import BETA_TABLE, LoraParams, ReductionFactor
 from chirplab.montecarlo import TAG_CALIBRATION, peak_statistics, run_error_trials, symbol_error_rate
 
 from oracles import (
+    analytic_ber,
     analytic_ser,
     gathered_trials,
     log_i0,
@@ -110,12 +111,29 @@ def test_engine_rejects_what_check_integer_rejects(trials):
         run_error_trials(LoraParams(sf=7, bw=125e3), ReductionFactor(1.0), [0.0], trials, 1)
 
 
-@pytest.mark.parametrize("snr_db", [-10.0, -9.0, -8.0])
-def test_beta_one_ser_within_binomial_interval(snr_db):
+# SER from about 1e-1 to 1e-3 at each sf; the sf 7 points keep the bare-SNR ids they had before sf 10 and 12
+BETA_ONE_POINTS = [(7, -10.0), (7, -9.0), (7, -8.0), (10, -19.0), (10, -18.0), (10, -17.0),
+                   (12, -24.0), (12, -23.0), (12, -22.0)]
+BETA_ONE_IDS = [str(snr_db) if sf == 7 else f"sf{sf}-{snr_db}" for sf, snr_db in BETA_ONE_POINTS]
+
+
+@pytest.mark.parametrize("sf, snr_db", BETA_ONE_POINTS, ids=BETA_ONE_IDS)
+def test_beta_one_ser_within_binomial_interval(sf, snr_db):
     trials = 50_000
-    [(ser, _)] = run_error_trials(LoraParams(sf=7, bw=125e3), ReductionFactor(1.0), [snr_db], trials, master_seed=7)
-    expected = analytic_ser(7, snr_db)
+    [(ser, _)] = run_error_trials(LoraParams(sf=sf, bw=125e3), ReductionFactor(1.0), [snr_db], trials, master_seed=7)
+    expected = analytic_ser(sf, snr_db)
     assert abs(ser - expected) <= Z_999 * np.sqrt(expected * (1.0 - expected) / trials), (ser, expected)
+
+
+@pytest.mark.parametrize("sf, snr_db", BETA_ONE_POINTS, ids=[f"sf{sf}-{snr_db}" for sf, snr_db in BETA_ONE_POINTS])
+def test_beta_one_ber_within_chernoff_bounds(sf, snr_db):
+    # the BER's expectation is exact at beta = 1, so both tails are bounded: a trial's share of wrong bits X
+    # lies in [0, 1], and the upper tail of 1 - X, whose mean is 1 - expected, is the lower tail of X
+    trials = 50_000
+    [(_, ber)] = run_error_trials(LoraParams(sf=sf, bw=125e3), ReductionFactor(1.0), [snr_db], trials, master_seed=8)
+    expected = analytic_ber(sf, snr_db)
+    assert chernoff_tail(ber, trials, expected) >= TAIL_Z4, (ber, expected)
+    assert chernoff_tail(1.0 - ber, trials, 1.0 - expected) >= TAIL_Z4, (ber, expected)
 
 
 @pytest.mark.parametrize("sf, beta, snr_db", [(7, 1.0, -9.0), (7, 0.5, -5.0), (9, 0.75, -13.0), (10, 0.625, -15.0)])
@@ -129,12 +147,38 @@ def test_symbol_errors_match_gathered_engine(sf, beta, snr_db):
     assert abs(z) <= Z_999, (errors, oracle_errors)
 
 
-def test_mean_peak_matches_gathered_engine():
-    params, rf, snr_db, trials = LoraParams(sf=7, bw=125e3), ReductionFactor(0.875), 0.0, 20_000
+@pytest.mark.parametrize("beta", [0.875, 1.0])
+def test_mean_peak_matches_gathered_engine(beta):
+    params, rf, snr_db, trials = LoraParams(sf=7, bw=125e3), ReductionFactor(beta), 0.0, 20_000
     [(mean_peak, _)] = peak_statistics(params, rf, [snr_db], trials, master_seed=1)
     _, peaks = gathered_trials(params, rf, snr_db, trials, np.random.default_rng(2))
     z = (mean_peak - peaks.mean()) / (peaks.std() * np.sqrt(2 / trials))
     assert abs(z) <= Z_999, (mean_peak, peaks.mean())
+
+
+@pytest.mark.parametrize("sf", [7, 10])
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_single_trial_mean_peak_is_its_bins_maximum(sf, beta):
+    # the bins row is the very trial whose peak is counted, on the full-period and the transform path alike
+    params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
+    snrs = [-20.0, -5.0, 0.0, 30.0]
+    for snr_db, (mean_peak, bins) in zip(snrs, peak_statistics(params, rf, snrs, 1, 0)):
+        assert bins.shape == (params.n,)
+        assert mean_peak == bins.max(), (snr_db, mean_peak, bins.max())
+    # and the row's argmax is that trial's decision, rotated to bin 0
+    for i, _, offsets, peaks, bins in montecarlo._received(params, rf, snrs, 1, 0, montecarlo.TAG_PEAK):
+        assert (bins.argmax(), bins.max()) == (offsets[0], peaks[0]), snrs[i]
+
+
+def test_full_period_bins_row_has_rayleigh_energy():
+    # the n - 1 bins besides bin 0 of one full-period trial are iid with energy 2 n sigma^2 Exp(1) each, so their
+    # total over many seeds has mean 2 n sigma^2 (n - 1) and relative spread 1 / sqrt(seeds (n - 1)); drawing the
+    # n - 2 bins below the maximum without truncating them would read about 3.5% high at sf 7
+    params, rf, snr_db, seeds = LoraParams(sf=7, bw=125e3), ReductionFactor(1.0), 0.0, 400
+    scale2 = 10.0 ** (-snr_db / 10.0) / 2.0
+    totals = [np.sum(peak_statistics(params, rf, [snr_db], 1, seed)[0][1][1:] ** 2) for seed in range(seeds)]
+    relative = np.mean(totals) / (2 * params.n * scale2 * (params.n - 1))
+    assert abs(relative - 1.0) <= 4.0 / np.sqrt(seeds * (params.n - 1)), relative
 
 
 @pytest.mark.parametrize("seed", [-1, 1.7, 1.0])
@@ -144,9 +188,10 @@ def test_derive_rng_rejects_what_check_integer_rejects(seed):
         montecarlo.derive_rng(seed, TAG_CALIBRATION, 7, 1.0)
 
 
-def test_symbol_error_rate_per_point_ignores_its_companions(monkeypatch):
+@pytest.mark.parametrize("beta", [0.75, 1.0])
+def test_symbol_error_rate_per_point_ignores_its_companions(monkeypatch, beta):
     # calibration scores a block of grid points per pass; each SER must equal that point scored alone
-    params, rf, snrs, trials = LoraParams(sf=7, bw=125e3), ReductionFactor(0.75), [-9.0, -7.5, -6.0], 3000
+    params, rf, snrs, trials = LoraParams(sf=7, bw=125e3), ReductionFactor(beta), [-9.0, -7.5, -6.0], 3000
     sers = symbol_error_rate(params, rf, snrs, trials, 4)
     assert sers == [symbol_error_rate(params, rf, [snr_db], trials, 4)[0] for snr_db in snrs]
     # the SER-only fold counts what the SER/BER fold counts, on the same stream

@@ -42,9 +42,29 @@ PINNED = {
         "table.csv": "43e90489f21174e829998153d79325985c9368c12a6fa16a9e3fda50f5f90784",
         "toa.out": "9d8ceb03d2b8f1dd264aeaa3ddbb4c95dff83cc21df1d43711a4536417c6f218",
     }),
+    4: ("2.4.6", {
+        "ber.csv": "34085363c9c471523369abf8e9d1540798c69e0e82139ad80dd6506adbef97b1",
+        "bins.csv": "e6c73ab19562a2e1b0f58637d8c77c57d9e4be41cfe3e73e805e6ad63ce457a3",
+        "frame-decode.out": "7e1f8bdc2f13c7dfd2d1be28ab46850f41c661b1c5b9e948b52a1b67ca44875a",
+        "frame.cf32": "0773a584f53d1675fd0ffd03c44734b5185a2b8baa203e15edd4bed90bc5c24b",
+        "frame.cf32.meta": "35856e82cb01ecc39892b23efb74c44624abd838006745c216a3e77c0f22154e",
+        "peak.csv": "aa86959ad7e7e059f2b5bb7b5dd4dc2f376f43d6b2ea1770cfe86024c91c938c",
+        "select.out": "de5f029f8286117dd7da22cb67ec850861390c554b1b3773deafd54e72692b14",
+        "table.csv": "f9030bdd3987c7f4b931e702010c67edda2e66593c96271b74fc8a9e9fff51af",
+        "toa.out": "9d8ceb03d2b8f1dd264aeaa3ddbb4c95dff83cc21df1d43711a4536417c6f218",
+    }),
 }
 # outputs the trial engine never touches: the waveform channel keeps its own Philox stream
 ENGINE_FREE = ("frame-decode.out", "frame.cf32", "frame.cf32.meta", "toa.out")
+# stream version 4 re-drew only the full-period (beta = 1) trials: the sha256 of each CSV's beta < 1 rows
+# without the cells that name the version or divide by a beta = 1 row (truncated_rows), recorded under version 3
+TRUNCATED_ROWS_V3 = {
+    "ber.csv": "18281d5e7f0b5bb4955f97ff2b6309e6016b4960498c293e9b293c7f25f045bf",
+    "bins.csv": "ecd1df08d6facbf72b57cd9c886e76b93452b1c34dc6819c092fc88a3cd4ec7f",
+    "peak.csv": "20d24da95b55b7e6779fb873971f8cc2d4fe758bb08b12b825a4c77eb26661a8",
+    "table.csv": "3d8ee6fbdacd710069cddf6e9bbf4fe230e96af1644e7c9165669fd8fff432c0",
+}
+MOVED_COLUMNS = ("stream", "mean_peak_ratio_vs_beta1")
 
 # (argv, the name of its stdout output or None); {d} is the output directory
 COMMANDS = (
@@ -85,8 +105,25 @@ def outputs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", ENGINE_FREE)
 def test_engine_free_outputs_keep_their_v2_bytes(outputs, name):
-    # stream version 3 changed only the trial engine's generator and chunk size
+    # stream versions 3 and 4 changed only the trial engine
     assert hashlib.sha256(outputs[name]).hexdigest() == PINNED[2][1][name], f"{name} changed since stream version 2"
+
+
+def truncated_rows(data: bytes) -> bytes:
+    """The rows of a CSV whose beta is below 1, each without its MOVED_COLUMNS cells."""
+    header, *rows = data.decode().splitlines()
+    columns = header.split(",")
+    keep = [k for k, column in enumerate(columns) if column not in MOVED_COLUMNS]
+    beta = columns.index("beta")
+    kept = [",".join(cells[k] for k in keep) for cells in (row.split(",") for row in rows) if float(cells[beta]) < 1.0]
+    assert kept, "no beta < 1 rows"
+    return "\n".join(kept).encode()
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATED_ROWS_V3))
+def test_truncated_rows_keep_their_v3_bytes(outputs, name):
+    assert hashlib.sha256(truncated_rows(outputs[name])).hexdigest() == TRUNCATED_ROWS_V3[name], \
+        f"a beta < 1 row of {name} changed since stream version 3"
 
 
 def test_every_output_has_a_pin():
