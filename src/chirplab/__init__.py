@@ -15,11 +15,7 @@ from .chirps import (
     IqBuffer,
     LoraParams,
     ReductionFactor,
-    base_downchirp,
-    base_upchirp,
     instantaneous_frequency,
-    shifted_upchirp,
-    truncate,
 )
 from .experiments import ExperimentConfig, run_ber_sweep, run_peak_experiment
 from .framing import (
@@ -65,8 +61,6 @@ __all__ = [
     "ThresholdTable",
     "UnknownBetaIndexError",
     "awgn",
-    "base_downchirp",
-    "base_upchirp",
     "bit_errors",
     "build_frame",
     "calibrate_thresholds",
@@ -79,9 +73,7 @@ __all__ = [
     "run_ber_sweep",
     "run_peak_experiment",
     "select_beta",
-    "shifted_upchirp",
     "snr_estimate",
     "time_on_air",
     "time_saving",
-    "truncate",
 ]

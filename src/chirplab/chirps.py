@@ -1,8 +1,8 @@
-"""Discrete-time chirp waveform generation.
+"""Chirp parameters, the one base chirp sequence _base_ramp, and the rules every module shares.
 
-Complex baseband, critically sampled at the chirp bandwidth (one sample per
-chip), so a full symbol is n = 2**sf samples and FFT bin index equals symbol
-index after dechirping.
+Complex baseband, critically sampled at the chirp bandwidth (one sample per chip), so a full symbol is
+n = 2**sf samples and FFT bin index equals symbol index after dechirping. modem.modulate gathers each
+symbol's chirp from the base upchirp, framing tiles it, and the receivers dechirp by its conjugate.
 """
 from __future__ import annotations
 
@@ -19,6 +19,9 @@ BANDWIDTHS_HZ = (125_000.0, 250_000.0, 500_000.0)
 # Index i encodes beta = 1 - i/8; every value is an exact binary fraction,
 # so m = beta * n is an exact integer for all supported sf.
 BETA_TABLE = (1.0, 0.875, 0.75, 0.625, 0.5)
+
+# the one temporary-size rule: a file read or a batch of transforms spans at most this many samples (2 MB)
+_BLOCK_SAMPLES = 1 << 17
 
 
 def check_integer(name: str, value, minimum: int) -> int:
@@ -117,18 +120,8 @@ def _base_ramp(n: int) -> np.ndarray:
     return ramp
 
 
-def base_upchirp(params: LoraParams) -> IqBuffer:
-    """Unit-modulus upchirp sweeping 0..bw over one symbol: exp(i*pi*j^2/n)."""
-    return IqBuffer(_base_ramp(params.n), params.bw)
-
-
-def base_downchirp(params: LoraParams) -> IqBuffer:
-    """Conjugate of the base upchirp; frequency decreases linearly over the symbol."""
-    return IqBuffer(np.conj(_base_ramp(params.n)), params.bw)
-
-
 def _symbol_values(symbols, n: int) -> np.ndarray:
-    """The symbols as an int64 array: the one symbol rule, of modulate and shifted_upchirp."""
+    """The symbols as an int64 array: the one symbol rule, which modem.modulate and FrameSpec apply."""
     values = np.asarray(symbols)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the comparison rejects
         symbols = values.astype(np.int64)
@@ -138,29 +131,6 @@ def _symbol_values(symbols, n: int) -> np.ndarray:
     if outside.any():
         raise ValueError(f"symbol {symbols[outside.argmax()]} outside [0, {n})")
     return symbols
-
-
-def shifted_upchirp(params: LoraParams, k: int) -> IqBuffer:
-    """Cyclic-shifted upchirp encoding symbol k: sample[j] = upchirp[(j + k) mod n].
-
-    Dechirping against the base downchirp collapses it to a pure tone at
-    FFT bin k (phase-coherent across the wrap because n is even). ValueError
-    unless k is an integer in [0, n); an integral float such as 7.0 counts as 7.
-    """
-    (k,) = _symbol_values([k], params.n)
-    return IqBuffer(np.roll(_base_ramp(params.n), -k), params.bw)
-
-
-def truncate(buf: IqBuffer, rf: ReductionFactor, params: LoraParams) -> IqBuffer:
-    """First m = round(beta * n) samples of buf, unchanged.
-
-    Accepts any buffer with at least m samples so truncations compose:
-    truncate(truncate(x, b1), b2) == truncate(x, b2) whenever b2 <= b1.
-    """
-    m = rf.m(params)
-    if len(buf) < m:
-        raise ValueError(f"buffer has {len(buf)} samples, need at least {m} for beta={rf.beta}")
-    return IqBuffer(buf.samples[:m], buf.sample_rate)
 
 
 def instantaneous_frequency(buf: IqBuffer) -> np.ndarray:

@@ -17,11 +17,8 @@ from .chirps import (
     IqBuffer,
     LoraParams,
     ReductionFactor,
-    base_downchirp,
     check_integer,
     instantaneous_frequency,
-    shifted_upchirp,
-    truncate,
 )
 from .experiments import ExperimentConfig, run_ber_sweep, run_peak_experiment
 
@@ -64,12 +61,10 @@ def _write_freq_csv(path, buf: IqBuffer):
 
 def cmd_chirp(args) -> int:
     params = _params(args)
-    if args.down:
-        buf = base_downchirp(params)
-    else:
-        buf = shifted_upchirp(params, args.symbol)
     rf = ReductionFactor(args.beta)
-    buf = truncate(buf, rf, params)
+    buf = modem.modulate([args.symbol], params, rf)
+    if args.down:
+        buf = IqBuffer(buf.samples.conj(), buf.sample_rate)
     iqfile.write_iq(args.out, buf, {"sf": params.sf, "bw": params.bw, "beta": rf.beta})
     _write_freq_csv(str(args.out) + ".freq.csv", buf)
     return 0
@@ -229,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("chirp", allow_abbrev=False,
                               help="dump one chirp waveform and its frequency trajectory")
     _add_params_flags(sub)
-    sub.add_argument("--down", action="store_true", help="base downchirp instead of upchirp")
+    sub.add_argument("--down", action="store_true", help="conjugate of the symbol's chirp (at 0, the base downchirp)")
     sub.add_argument("--symbol", type=int, default=0, help="cyclic shift (symbol value)")
     sub.add_argument("--beta", type=float, default=1.0, help="reduction factor")
     sub.add_argument("--out", required=True)

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .chirps import (
+    _BLOCK_SAMPLES,
     BETA_TABLE,
     FULL_PERIOD,
     IqBuffer,
@@ -179,7 +180,7 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     2, 4, ... more. The rows are taken in order, and a row is taken once the
     rows its runs reach are screened: the windows of every run of
     preamble_len - 1 passing windows that starts in it get one batched
-    spectral check (split only past 2 MB), and the earliest start whose
+    spectral check (split only past _BLOCK_SAMPLES samples), and the earliest start whose
     windows are all hits is the result, so the search stops at the first
     verified run. As every hit passes the screen and every start in an
     earlier row is an earlier sample, it equals that of checking all n
@@ -194,9 +195,9 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     # a run starting at s holds the samples [s, s + need n); the grid holds no
     # start past len - n, so every gathered run lies in the buffer
     span = np.arange(need * n)
-    # at most 2**17 samples (2 MB) per check: on noise a row of one-window runs
+    # at most _BLOCK_SAMPLES samples per check: on noise a row of one-window runs
     # can hold a fifth of its n starts as candidates
-    block = max(1, (1 << 17) // (need * n))
+    block = max(1, _BLOCK_SAMPLES // (need * n))
     row, screened = 0, 0
     while screened < rows:
         # the first block is the need rows of row 0's runs; past it, blocks of 1, 2, 4, ... rows

@@ -7,9 +7,11 @@ versions the beta index code table.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
-from .chirps import BANDWIDTHS_HZ, BETA_TABLE, SPREADING_FACTORS, IqBuffer
+from .chirps import _BLOCK_SAMPLES, BANDWIDTHS_HZ, BETA_TABLE, SPREADING_FACTORS, IqBuffer
 
 SIDECAR_SUFFIX = ".meta"
 FORMAT_VERSION = "cf32.v1"
@@ -83,12 +85,24 @@ def read_sidecar(path) -> dict:
 
 
 def read_iq(path, sample_rate: float) -> IqBuffer:
-    """Read a cf32 capture; rejects files with a dangling half-sample."""
+    """Read a cf32 capture into one complex128 array sized from the open file, _BLOCK_SAMPLES samples at a time.
+
+    IqFormatError for a dangling half-sample, or a file that does not hold the size it had when opened (a pipe).
+    """
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
+            size = os.fstat(handle.fileno()).st_size
+            if size % 8 != 0:
+                raise IqFormatError(f"{path}: size is not a multiple of 8 bytes (float32 I/Q pairs)")
+            samples = np.empty(size // 8, dtype=np.complex128)
+            for lo in range(0, len(samples), _BLOCK_SAMPLES):
+                part = samples[lo: lo + _BLOCK_SAMPLES]
+                piece = handle.read(8 * len(part))
+                if len(piece) != 8 * len(part):
+                    raise IqFormatError(f"{path}: ended before the {size} bytes it reported")
+                part[...] = np.frombuffer(piece, dtype="<c8")
+            if handle.read(1):
+                raise IqFormatError(f"{path}: holds more than the {size} bytes it reported")
     except (FileNotFoundError, NotADirectoryError):
         raise IqFormatError(f"no such IQ file: {path}") from None
-    if len(data) % 8 != 0:
-        raise IqFormatError(f"{path}: size is not a multiple of 8 bytes (float32 I/Q pairs)")
-    return IqBuffer(np.frombuffer(data, dtype="<c8").astype(np.complex128), sample_rate)
+    return IqBuffer(samples, sample_rate)

@@ -12,14 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chirps import IqBuffer, LoraParams, ReductionFactor, _base_ramp, _symbol_values, check_integer
+from .chirps import _BLOCK_SAMPLES, IqBuffer, LoraParams, ReductionFactor, _base_ramp, _symbol_values, check_integer
 
 # Floor clamp of the peak-over-floor ratio; keeps it finite when the non-peak
 # bins are numerically zero (noiseless input).
 NOISE_FLOOR_MIN = 1e-12
-
-# demodulate transforms the windows of at most this many transform samples at a time, as the preamble search does
-_DEMOD_BLOCK_SAMPLES = 1 << 17
 
 
 class LengthMismatchError(ValueError):
@@ -40,9 +37,10 @@ class DemodResult:
 
 
 def modulate(symbols, params: LoraParams, rf: ReductionFactor) -> IqBuffer:
-    """Concatenate the first m samples of the shifted upchirp for each symbol.
+    """The transmitter: per symbol k, sample j < m is upchirp[(j + k) mod n], a tone at bin k once dechirped.
 
-    ValueError unless every symbol is an integer in [0, n); an integral float such as 7.0 counts as 7.
+    Symbol 0's chirp, conjugated, is the base downchirp. ValueError unless every symbol is an integer
+    in [0, n); an integral float such as 7.0 counts as 7.
     """
     n = params.n
     symbols = _symbol_values(symbols, n)
@@ -97,8 +95,8 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
     and snr_db 20 log10(peak / floor), the floor clamped at NOISE_FLOOR_MIN, never below 0 dB.
     ValueError unless count is an integer >= 0, or if a window holds a sample that is not finite (checked
     before any transform, and only in the count windows); LengthMismatchError if buf is shorter than them.
-    The windows are transformed in blocks of at most 2**17 transform samples, so the temporaries stay
-    bounded on long captures; each window's result does not depend on the block it falls in.
+    The windows are transformed in blocks of at most _BLOCK_SAMPLES transform samples, so the temporaries
+    stay bounded on long captures; each window's result does not depend on the block it falls in.
     """
     count = check_integer("count", count, 0)
     m = rf.m(params)
@@ -112,7 +110,7 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
         raise ValueError(f"symbol window {finite.argmin()} of {count} holds a non-finite sample")
     symbols = np.empty(count, dtype=np.intp)
     peaks, floors, ratios = np.empty(count), np.empty(count), np.empty(count)
-    block = max(1, _DEMOD_BLOCK_SAMPLES // params.n)
+    block = max(1, _BLOCK_SAMPLES // params.n)
     for lo in range(0, count, block):
         rows = slice(lo, lo + block)
         symbols[rows], peaks[rows], floors[rows], ratios[rows] = _peak_and_floor(_window_spectra(windows[rows], params))

@@ -16,8 +16,6 @@ from chirplab.chirps import (
     IqBuffer,
     LoraParams,
     ReductionFactor,
-    base_downchirp,
-    base_upchirp,
 )
 from chirplab.experiments import ExperimentConfig, run_ber_sweep, run_peak_experiment
 from chirplab.framing import (
@@ -166,15 +164,16 @@ def test_criterion_7_frame_pipeline():
             successes += 1
 
     n = 128
-    sfd = np.concatenate([base_downchirp(SF7).samples] * 2 + [base_downchirp(SF7).samples[: n // 4]])
+    up = modulate([0], SF7, FULL_PERIOD).samples
+    sfd = np.concatenate([up.conj()] * 2 + [up.conj()[: n // 4]])
     bad_checksum = IqBuffer(np.concatenate([
-        np.tile(base_upchirp(SF7).samples, 8), sfd,
+        np.tile(up, 8), sfd,
         modulate([5, 0, 6], SF7, FULL_PERIOD).samples,  # checksum should be 5
     ]), SF7.bw)
     with pytest.raises(ChecksumMismatchError):
         decode_frame(bad_checksum, 0, SF7)
     bad_beta = IqBuffer(np.concatenate([
-        np.tile(base_upchirp(SF7).samples, 8), sfd,
+        np.tile(up, 8), sfd,
         modulate([5, 6, 11], SF7, FULL_PERIOD).samples,  # index 6 outside the 5-entry table
     ]), SF7.bw)
     with pytest.raises(UnknownBetaIndexError):

@@ -3,19 +3,28 @@ import pytest
 
 from chirplab.chirps import (
     BETA_TABLE,
+    FULL_PERIOD,
     IqBuffer,
     LoraParams,
     ReductionFactor,
-    base_downchirp,
-    base_upchirp,
     instantaneous_frequency,
-    shifted_upchirp,
-    truncate,
 )
+from chirplab.framing import FrameSpec, build_frame
+from chirplab.modem import modulate
 
 from oracles import freq_close, naive_dft
 
 SF7 = LoraParams(sf=7, bw=125e3)
+
+
+def chirp(k, params=SF7, rf=FULL_PERIOD) -> IqBuffer:
+    """Symbol k's chirp: the transmitter with a one-symbol payload."""
+    return modulate([k], params, rf)
+
+
+def down(params=SF7) -> np.ndarray:
+    """The base downchirp: symbol 0's full-period chirp, conjugated."""
+    return chirp(0, params).samples.conj()
 
 
 class TestLoraParams:
@@ -79,7 +88,7 @@ class TestReductionFactor:
 
 class TestBaseChirps:
     def test_upchirp_sample_formula(self):
-        buf = base_upchirp(SF7)
+        buf = chirp(0)
         assert len(buf) == 128
         assert buf.sample_rate == SF7.bw
         j = np.arange(128)
@@ -90,56 +99,72 @@ class TestBaseChirps:
     @pytest.mark.parametrize("sf", [7, 10, 12])
     def test_unit_modulus(self, sf):
         params = LoraParams(sf=sf, bw=125e3)
-        for buf in (base_upchirp(params), base_downchirp(params), shifted_upchirp(params, 3)):
-            np.testing.assert_allclose(np.abs(buf.samples), 1.0, atol=1e-12)
+        for samples in (chirp(0, params).samples, down(params), chirp(3, params, ReductionFactor(0.625)).samples):
+            np.testing.assert_allclose(np.abs(samples), 1.0, atol=1e-12)
 
     def test_downchirp_is_conjugate(self):
-        up = base_upchirp(SF7).samples
-        down = base_downchirp(SF7).samples
-        assert down[0] == 1 + 0j
-        np.testing.assert_array_equal(down, np.conj(up))
-        np.testing.assert_allclose(up * down, np.ones(128), atol=1e-12)
+        up = chirp(0).samples
+        assert down()[0] == 1 + 0j
+        np.testing.assert_allclose(up * down(), np.ones(128), atol=1e-12)
 
     def test_upchirp_self_dechirp_peaks_at_dc(self):
-        up = base_upchirp(SF7).samples
-        tone = up * np.conj(up)
+        tone = chirp(0).samples * down()
         mags = np.abs(naive_dft(tone, 128))
         assert mags.argmax() == 0
         assert mags[0] == pytest.approx(128.0, abs=1e-9)
 
     def test_buffers_are_read_only(self):
-        buf = base_upchirp(SF7)
+        buf = chirp(0)
         with pytest.raises(ValueError):
             buf.samples[0] = 0
 
 
 class TestShiftedUpchirp:
+    # symbol k's chirp: sample j < m is upchirp[(j + k) mod n]
+    @pytest.mark.parametrize("sf", [7, 10, 12])
+    @pytest.mark.parametrize("beta", BETA_TABLE)
+    def test_matches_closed_form(self, sf, beta):
+        params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
+        n, m = params.n, rf.m(params)
+        j = np.arange(m)
+        for k in (0, 1, 5, n // 3, n - 1):
+            expected = np.exp(1j * np.pi * ((j + k) % n) ** 2 / n)
+            assert np.max(np.abs(chirp(k, params, rf).samples - expected)) <= 1e-9
+
     def test_zero_shift_is_base(self):
-        np.testing.assert_array_equal(shifted_upchirp(SF7, 0).samples, base_upchirp(SF7).samples)
+        # symbol 0's chirp is the upchirp the preamble repeats, to the last bit
+        frame = build_frame(FrameSpec(payload=(5,), rf=FULL_PERIOD), SF7)
+        np.testing.assert_array_equal(chirp(0).samples, frame.samples[:128])
+        np.testing.assert_array_equal(chirp(0).samples, frame.samples[128:256])
 
     def test_rotation_formula(self):
-        up = base_upchirp(SF7).samples
-        k = 37
-        shifted = shifted_upchirp(SF7, k).samples
-        np.testing.assert_array_equal(shifted, up[(np.arange(128) + k) % 128])
+        # the cyclic-rotation identity holds exactly, at every sf and beta
+        for sf in (7, 10, 12):
+            params = LoraParams(sf=sf, bw=125e3)
+            n = params.n
+            up = chirp(0, params).samples
+            for rf in map(ReductionFactor, BETA_TABLE):
+                j = np.arange(rf.m(params))
+                for k in (1, 37, n // 3, n - 1):
+                    np.testing.assert_array_equal(chirp(k, params, rf).samples, up[(j + k) % n])
 
     @pytest.mark.parametrize("k", [-1, 128, 500])
     def test_rejects_out_of_range(self, k):
-        with pytest.raises(ValueError):
-            shifted_upchirp(SF7, k)
+        with pytest.raises(ValueError, match=f"symbol {k} outside \\[0, 128\\)"):
+            chirp(k)
 
     @pytest.mark.parametrize("k", [7.9, 0.5, np.nan, np.inf])
     def test_rejects_non_integral_symbols(self, k):
         # the symbol rule of modulate: 7.9 is not rounded down to symbol 7
         with pytest.raises(ValueError, match="symbols must be integers"):
-            shifted_upchirp(SF7, k)
+            chirp(k)
 
     def test_integral_float_symbol_is_its_integer(self):
-        np.testing.assert_array_equal(shifted_upchirp(SF7, 7.0).samples, shifted_upchirp(SF7, 7).samples)
+        np.testing.assert_array_equal(chirp(7.0).samples, chirp(7).samples)
 
     @pytest.mark.parametrize("k", [1, 32, 64, 100, 127])
     def test_dechirp_tone_at_bin_k(self, k):
-        tone = shifted_upchirp(SF7, k).samples * base_downchirp(SF7).samples
+        tone = chirp(k).samples * down()
         mags = np.abs(naive_dft(tone, 128))
         assert mags.argmax() == k
         assert mags[k] == pytest.approx(128.0, abs=1e-9)
@@ -148,46 +173,40 @@ class TestShiftedUpchirp:
 
     def test_cyclic_shift_group_property(self):
         for k in (5, 40, 90):
-            twice = np.roll(shifted_upchirp(SF7, k).samples, -k)
-            np.testing.assert_array_equal(twice, shifted_upchirp(SF7, (2 * k) % 128).samples)
+            twice = np.roll(chirp(k).samples, -k)
+            np.testing.assert_array_equal(twice, chirp((2 * k) % 128).samples)
 
     def test_dechirp_tone_exhaustive_off_bin_bound(self):
-        down = base_downchirp(SF7).samples
         n = SF7.n
-        for k in range(n):
-            mags = np.abs(np.fft.fft(shifted_upchirp(SF7, k).samples * down))
-            assert mags[k] == pytest.approx(n, rel=1e-12)
-            mags[k] = 0.0
-            assert mags.max() <= 1e-9 * n
+        mags = np.abs(np.fft.fft(modulate(range(n), SF7, FULL_PERIOD).samples.reshape(n, n) * down(), axis=1))
+        np.testing.assert_allclose(np.diag(mags), n, rtol=1e-12)
+        np.fill_diagonal(mags, 0.0)
+        assert mags.max() <= 1e-9 * n
 
 
 class TestTruncate:
+    # a truncated chirp is the first m = beta * n samples of the full one
     def test_beta_1_identity(self):
-        buf = base_upchirp(SF7)
-        out = truncate(buf, ReductionFactor(1.0), SF7)
-        np.testing.assert_array_equal(out.samples, buf.samples)
+        # at beta 1 nothing is cut: back-to-back chirps of symbol k are the base sequence advanced by k
+        for k in (0, 21, 127):
+            np.testing.assert_array_equal(modulate([k, k], SF7, FULL_PERIOD).samples,
+                                          np.roll(modulate([0, 0], SF7, FULL_PERIOD).samples, -k))
 
     def test_truncated_lengths(self):
-        buf = base_upchirp(SF7)
-        assert len(truncate(buf, ReductionFactor(0.875), SF7)) == 112
-        half = truncate(buf, ReductionFactor(0.5), SF7)
+        assert len(chirp(0, rf=ReductionFactor(0.875))) == 112
+        half = chirp(0, rf=ReductionFactor(0.5))
         assert len(half) == 64
-        np.testing.assert_array_equal(half.samples, buf.samples[:64])
-
-    def test_rejects_too_short(self):
-        short = IqBuffer(np.ones(50, dtype=complex), SF7.bw)
-        with pytest.raises(ValueError):
-            truncate(short, ReductionFactor(0.5), SF7)
+        np.testing.assert_array_equal(half.samples, chirp(0).samples[:64])
 
     def test_truncations_compose(self):
-        buf = shifted_upchirp(SF7, 21)
+        # the truncations nest: a shorter chirp is the prefix of every longer one
         for b1 in BETA_TABLE:
             for b2 in BETA_TABLE:
                 if b2 > b1:
                     continue
-                stacked = truncate(truncate(buf, ReductionFactor(b1), SF7), ReductionFactor(b2), SF7)
-                direct = truncate(buf, ReductionFactor(b2), SF7)
-                np.testing.assert_array_equal(stacked.samples, direct.samples)
+                longer = chirp(21, rf=ReductionFactor(b1)).samples
+                shorter = chirp(21, rf=ReductionFactor(b2)).samples
+                np.testing.assert_array_equal(shorter, longer[: ReductionFactor(b2).m(SF7)])
 
 
 class TestInstantaneousFrequency:
@@ -200,7 +219,7 @@ class TestInstantaneousFrequency:
             instantaneous_frequency(IqBuffer(np.ones(1, dtype=complex), SF7.bw))
 
     def test_upchirp_ramps_by_bw_over_n(self):
-        f = instantaneous_frequency(base_upchirp(SF7))
+        f = instantaneous_frequency(chirp(0))
         assert len(f) == 127
         bw, n = SF7.bw, SF7.n
         # finite differences of the quadratic phase: f[j] = (2j+1)/(2n) * bw, aliased
@@ -210,7 +229,7 @@ class TestInstantaneousFrequency:
         np.testing.assert_allclose(steps, bw / n, atol=1e-6 * bw)
 
     def test_downchirp_ramps_down(self):
-        f = instantaneous_frequency(base_downchirp(SF7))
+        f = instantaneous_frequency(IqBuffer(down(), SF7.bw))
         bw, n = SF7.bw, SF7.n
         expected = -(2 * np.arange(127) + 1) / (2 * n) * bw
         assert freq_close(f, expected, bw, 1e-6 * bw)
@@ -222,7 +241,7 @@ class TestInstantaneousFrequency:
         # wraps where the rotation crosses the buffer end, at j = n - k.
         k = 32
         bw, n = SF7.bw, SF7.n
-        f = instantaneous_frequency(shifted_upchirp(SF7, k))
+        f = instantaneous_frequency(chirp(k))
         expected = (2 * ((np.arange(127) + k) % n) + 1) / (2 * n) * bw
         assert freq_close(f, expected, bw, 1e-6 * bw)
         first = f[: n - k - 1]

@@ -5,13 +5,14 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from chirplab import cli, experiments, iqfile
 from chirplab.adaptive import TABLE_CSV_COLUMNS
-from chirplab.chirps import IqBuffer, LoraParams, ReductionFactor, base_upchirp, shifted_upchirp
+from chirplab.chirps import _BLOCK_SAMPLES, FULL_PERIOD, IqBuffer, LoraParams, ReductionFactor
 from chirplab.framing import FrameSpec, build_frame
 from chirplab.modem import modulate
 from chirplab.montecarlo import STREAM_VERSION
@@ -60,6 +61,44 @@ class TestIqFile:
         path.write_bytes(b"\x00" * 12)
         with pytest.raises(iqfile.IqFormatError):
             iqfile.read_iq(path, SF7.bw)
+
+    def test_reads_a_capture_of_several_pieces(self, tmp_path):
+        path = tmp_path / "long.cf32"
+        rng = np.random.default_rng(2)
+        rng.standard_normal(2 * (2 * _BLOCK_SAMPLES + 3)).astype("<f4").tofile(path)
+        back = iqfile.read_iq(path, SF7.bw).samples
+        assert back.dtype == np.complex128 and len(back) == 2 * _BLOCK_SAMPLES + 3
+        np.testing.assert_array_equal(back, np.fromfile(path, "<c8").astype(np.complex128))
+
+    @pytest.mark.parametrize("reported, fault", [(8, "ended before the 48 bytes"), (-8, "holds more than the 32 bytes")])
+    def test_rejects_a_file_that_does_not_hold_its_reported_size(self, tmp_path, monkeypatch, reported, fault):
+        path = tmp_path / "five.cf32"
+        path.write_bytes(b"\x00" * 40)
+        fstat = iqfile.os.fstat
+        monkeypatch.setattr(iqfile.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + reported))
+        with pytest.raises(iqfile.IqFormatError, match=fault):
+            iqfile.read_iq(path, SF7.bw)
+
+    def test_path_errors(self, tmp_path):
+        # a missing file, or a path through a file, is a bad capture (exit 3); a directory is an OSError (exit 1)
+        (tmp_path / "file").write_bytes(b"")
+        for missing in (tmp_path / "absent.cf32", tmp_path / "file" / "x.cf32"):
+            with pytest.raises(iqfile.IqFormatError, match="no such IQ file"):
+                iqfile.read_iq(missing, SF7.bw)
+        with pytest.raises(IsADirectoryError):
+            iqfile.read_iq(tmp_path, SF7.bw)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+    def test_rejects_a_pipe(self):
+        # a pipe reports size 0 whatever it holds
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"\x00" * 16)
+        os.close(write_end)
+        try:
+            with pytest.raises(iqfile.IqFormatError, match="holds more than the 0 bytes"):
+                iqfile.read_iq(f"/dev/fd/{read_end}", SF7.bw)
+        finally:
+            os.close(read_end)
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "orphan.cf32"
@@ -121,7 +160,7 @@ class TestModDemod:
 
     def test_demod_length_mismatch_exit_code(self, tmp_path, capsys):
         path = tmp_path / "ragged.cf32"
-        buf = IqBuffer(base_upchirp(SF7).samples[:100], SF7.bw)
+        buf = IqBuffer(modulate([0], SF7, FULL_PERIOD).samples[:100], SF7.bw)
         iqfile.write_iq(path, buf, {"sf": 7, "bw": 125000.0, "beta": 1.0})
         code, _, err = run(capsys, "demod", "--in", path)
         assert code == cli.EXIT_LENGTH_MISMATCH
@@ -162,6 +201,14 @@ class TestChirpCommand:
         back = iqfile.read_iq(path, SF7.bw)
         assert len(back) == 128
         assert back.samples[0] == pytest.approx(1 + 0j)
+
+    @pytest.mark.parametrize("k", [0, 5, 127])
+    def test_down_is_the_conjugate_of_the_symbol_chirp(self, tmp_path, capsys, k):
+        path = tmp_path / "down.cf32"
+        code, _, _ = run(capsys, "chirp", "--sf", 7, "--down", "--symbol", k, "--beta", 0.5, "--out", path)
+        assert code == 0
+        want = modulate([k], SF7, ReductionFactor(0.5)).samples.astype(np.complex64).conj()
+        np.testing.assert_array_equal(iqfile.read_iq(path, SF7.bw).samples, want)
 
 
 class TestToa:
@@ -240,12 +287,11 @@ class TestFrameCommands:
         assert code == cli.EXIT_NO_PREAMBLE
 
     def test_checksum_exit_code(self, tmp_path, capsys):
-        from chirplab.modem import modulate
-        from chirplab.chirps import base_downchirp, FULL_PERIOD
         n = 128
+        up = modulate([0], SF7, FULL_PERIOD).samples
         parts = [
-            np.tile(base_upchirp(SF7).samples, 8),
-            np.concatenate([base_downchirp(SF7).samples] * 2 + [base_downchirp(SF7).samples[:n // 4]]),
+            np.tile(up, 8),
+            np.concatenate([up.conj()] * 2 + [up.conj()[:n // 4]]),
             modulate([2, 0, 9], SF7, FULL_PERIOD).samples,
         ]
         path = tmp_path / "badsum.cf32"
@@ -254,14 +300,12 @@ class TestFrameCommands:
         assert code == cli.EXIT_CHECKSUM
 
     def test_unknown_beta_exit_code(self, tmp_path, capsys):
-        from chirplab.modem import modulate
-        from chirplab.chirps import base_downchirp, FULL_PERIOD
         n = 128
+        up = modulate([0], SF7, FULL_PERIOD).samples
         parts = [
-            np.tile(base_upchirp(SF7).samples, 8),
-            np.concatenate([base_downchirp(SF7).samples] * 2 + [base_downchirp(SF7).samples[:n // 4]]),
-            modulate([1, 7, 8], SF7, FULL_PERIOD).samples,
-            shifted_upchirp(SF7, 1).samples,
+            np.tile(up, 8),
+            np.concatenate([up.conj()] * 2 + [up.conj()[:n // 4]]),
+            modulate([1, 7, 8, 1], SF7, FULL_PERIOD).samples,
         ]
         path = tmp_path / "badbeta.cf32"
         iqfile.write_iq(path, IqBuffer(np.concatenate(parts), SF7.bw), {"sf": 7, "bw": 125000.0})
@@ -440,7 +484,7 @@ def malformed_inputs(tmp_path_factory):
     iqfile.write_iq(root / "frame.cf32", frame, {"sf": 7, "bw": 125000.0, "preamble_len": 8})
     for name, key, value in (("v9", "beta_table", "v9"), ("cf64", "format", "cf64.v7")):
         iqfile.write_iq(root / f"{name}.cf32", frame, {"sf": 7, "bw": 125000.0, key: value})
-    iqfile.write_iq(root / "ragged.cf32", IqBuffer(base_upchirp(SF7).samples[:100], SF7.bw),
+    iqfile.write_iq(root / "ragged.cf32", IqBuffer(modulate([0], SF7, FULL_PERIOD).samples[:100], SF7.bw),
                     {"sf": 7, "bw": 125000.0, "beta": 1.0})
     symbols = modulate([1, 2, 3], SF7, ReductionFactor(0.5))
     iqfile.write_iq(root / "mod.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.5})
@@ -490,6 +534,7 @@ MALFORMED_ARGV = [
     ("chirp --sf 6 --out {d}/x.cf32", 1),
     ("chirp --sf 7 --beta 0.9 --out {d}/x.cf32", 1),
     ("chirp --sf 7 --symbol 128 --out {d}/x.cf32", 1),
+    ("chirp --sf 7 --down --symbol 500 --beta 0.5 --out {d}/x.cf32", 1),
     ("mod --sf 7 --payload 200 --out {d}/x.cf32", 1),
     ("mod --sf 7 --payload 0xzz --out {d}/x.cf32", 1),
     ("mod --sf seven --payload 1 --out {d}/x.cf32", 2),

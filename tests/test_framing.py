@@ -12,8 +12,6 @@ from chirplab.chirps import (
     IqBuffer,
     LoraParams,
     ReductionFactor,
-    base_downchirp,
-    base_upchirp,
 )
 from chirplab.framing import (
     ChecksumMismatchError,
@@ -31,6 +29,9 @@ from chirplab.modem import LengthMismatchError, _window_spectra, modulate
 from oracles import exhaustive_detect_preamble, screen_statistics
 
 SF7 = LoraParams(sf=7, bw=125e3)
+# the base upchirp and downchirp: symbol 0's full-period chirp and its conjugate
+UP = modulate([0], SF7, FULL_PERIOD).samples
+DOWN = UP.conj()
 
 
 def make_frame(payload, beta, preamble_len=8, params=SF7):
@@ -59,12 +60,10 @@ class TestBuildFrame:
     def test_layout_sections(self):
         spec, buf = make_frame([9, 110], 0.5)
         n = 128
-        up = base_upchirp(SF7).samples
-        down = base_downchirp(SF7).samples
         for i in range(8):
-            np.testing.assert_array_equal(buf.samples[i * n:(i + 1) * n], up)
+            np.testing.assert_array_equal(buf.samples[i * n:(i + 1) * n], UP)
         sfd = buf.samples[8 * n: 8 * n + 2 * n + n // 4]
-        np.testing.assert_array_equal(sfd, np.concatenate([down, down, down[: n // 4]]))
+        np.testing.assert_array_equal(sfd, np.concatenate([DOWN, DOWN, DOWN[: n // 4]]))
         header_start = 8 * n + 2 * n + n // 4
         header = modulate(spec.header_symbols(SF7), SF7, FULL_PERIOD).samples
         np.testing.assert_array_equal(buf.samples[header_start: header_start + 3 * n], header)
@@ -410,8 +409,8 @@ class TestDecodeFrame:
         # header with checksum symbol that contradicts length + beta index
         n = 128
         parts = [
-            np.tile(base_upchirp(SF7).samples, 8),
-            np.concatenate([base_downchirp(SF7).samples] * 2 + [base_downchirp(SF7).samples[: n // 4]]),
+            np.tile(UP, 8),
+            np.concatenate([DOWN] * 2 + [DOWN[: n // 4]]),
             modulate([3, 0, 99], SF7, FULL_PERIOD).samples,  # checksum should be 3
             modulate([1, 2, 3], SF7, FULL_PERIOD).samples,
         ]
@@ -423,8 +422,8 @@ class TestDecodeFrame:
         # consistent checksum but beta index beyond the table
         n = 128
         parts = [
-            np.tile(base_upchirp(SF7).samples, 8),
-            np.concatenate([base_downchirp(SF7).samples] * 2 + [base_downchirp(SF7).samples[: n // 4]]),
+            np.tile(UP, 8),
+            np.concatenate([DOWN] * 2 + [DOWN[: n // 4]]),
             modulate([2, 9, 11], SF7, FULL_PERIOD).samples,
             modulate([1, 2], SF7, FULL_PERIOD).samples,
         ]

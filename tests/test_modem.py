@@ -10,10 +10,6 @@ from chirplab.chirps import (
     IqBuffer,
     LoraParams,
     ReductionFactor,
-    base_downchirp,
-    base_upchirp,
-    shifted_upchirp,
-    truncate,
 )
 from chirplab.modem import (
     LengthMismatchError,
@@ -31,6 +27,14 @@ SF7 = LoraParams(sf=7, bw=125e3)
 ALL_RF = [ReductionFactor(b) for b in BETA_TABLE]
 
 
+def chirp(k: int, rf=FULL_PERIOD) -> IqBuffer:
+    """Symbol k's chirp at sf 7 cut to rf: the transmitter with a one-symbol payload."""
+    return modulate([k], SF7, rf)
+
+
+DOWN = chirp(0).samples.conj()
+
+
 class TestModulate:
     def test_sample_counts_at_sf7(self):
         symbols = [3, 99, 0, 64, 127]
@@ -45,8 +49,8 @@ class TestModulate:
     def test_concatenates_truncated_chirps(self):
         rf = ReductionFactor(0.5)
         buf = modulate([7, 70], SF7, rf)
-        first = truncate(shifted_upchirp(SF7, 7), rf, SF7).samples
-        second = truncate(shifted_upchirp(SF7, 70), rf, SF7).samples
+        first = chirp(7, rf).samples
+        second = chirp(70, rf).samples
         np.testing.assert_array_equal(buf.samples, np.concatenate([first, second]))
 
     @pytest.mark.parametrize("bad", [[7.9], [5, 3.2], [np.nan], [np.inf]])
@@ -72,13 +76,13 @@ def kernel_row(window: IqBuffer, params=SF7) -> np.ndarray:
 class TestDechirp:
     # the dechirp step of the one kernel, seen in its spectrum
     def test_base_upchirp_becomes_dc(self):
-        mags = kernel_row(base_upchirp(SF7))
+        mags = kernel_row(chirp(0))
         assert mags[0] == pytest.approx(128.0, rel=1e-12)
         assert np.delete(mags, 0).max() < 1e-9
 
     def test_shifted_upchirp_becomes_tone(self):
         k = 41
-        window = shifted_upchirp(SF7, k)
+        window = chirp(k)
         mags = kernel_row(window)
         want = naive_spectra(window.samples[None, :], 128)[0]
         assert mags.argmax() == want.argmax() == k
@@ -88,8 +92,8 @@ class TestDechirp:
         # truncating before the kernel's dechirp equals truncating the full product, to the last bit
         k = 90
         rf = ReductionFactor(0.5)
-        full_product = shifted_upchirp(SF7, k).samples * base_downchirp(SF7).samples
-        trunc = kernel_row(truncate(shifted_upchirp(SF7, k), rf, SF7))
+        full_product = chirp(k).samples * DOWN
+        trunc = kernel_row(chirp(k, rf))
         np.testing.assert_array_equal(trunc, np.abs(np.fft.fft(full_product[:64], 128)))
 
 
@@ -97,7 +101,7 @@ class TestSpectrumMagnitude:
     # the transform step of the one kernel: unnormalised, each row zero-padded to n bins
     def test_dc_tone(self):
         scales = np.array([1.0, 2.0, 0.5])
-        mags = _window_spectra(scales[:, None] * base_upchirp(SF7).samples, SF7)
+        mags = _window_spectra(scales[:, None] * chirp(0).samples, SF7)
         np.testing.assert_allclose(mags[:, 0], 128.0 * scales, rtol=1e-12)
         assert mags[:, 1:].max() < 1e-9
 
@@ -107,7 +111,7 @@ class TestSpectrumMagnitude:
 
     def test_truncated_tone_keeps_bin_and_peak(self):
         k, m = 23, 64
-        mags = kernel_row(truncate(shifted_upchirp(SF7, k), ReductionFactor(0.5), SF7))
+        mags = kernel_row(chirp(k, ReductionFactor(0.5)))
         assert len(mags) == 128
         assert mags.argmax() == k
         assert mags[k] == pytest.approx(m, rel=1e-9)
@@ -142,19 +146,19 @@ class TestDemodulateSymbol:
         for rf in ALL_RF:
             m = rf.m(SF7)
             for k in range(128):
-                symbol, peak, _, _ = self.demodulate_one(truncate(shifted_upchirp(SF7, k), rf, SF7), rf)
+                symbol, peak, _, _ = self.demodulate_one(chirp(k, rf), rf)
                 assert symbol == k
                 assert peak == pytest.approx(m, rel=1e-6)
 
     def test_noiseless_peak_ratio_is_beta(self):
-        base = self.demodulate_one(shifted_upchirp(SF7, 5))[1]
+        base = self.demodulate_one(chirp(5))[1]
         for beta in (0.875, 0.5):
             rf = ReductionFactor(beta)
-            peak = self.demodulate_one(truncate(shifted_upchirp(SF7, 5), rf, SF7), rf)[1]
+            peak = self.demodulate_one(chirp(5, rf), rf)[1]
             assert peak / base == pytest.approx(beta, abs=1e-9)
 
     def test_noiseless_snr_estimate_is_large(self):
-        assert self.demodulate_one(shifted_upchirp(SF7, 9))[3] >= 35.0
+        assert self.demodulate_one(chirp(9))[3] >= 35.0
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
@@ -239,13 +243,13 @@ class TestDemodulate:
             np.testing.assert_array_equal(got, want)
 
     def test_count_zero(self):
-        result = demodulate(base_upchirp(SF7), SF7, ReductionFactor(1.0), 0)
+        result = demodulate(chirp(0), SF7, ReductionFactor(1.0), 0)
         assert len(result) == 0 and not result
         assert all(c.shape == (0,) for c in (result.symbols, result.peaks, result.floors, result.snr_db))
 
     def test_rejects_short_buffer(self):
         with pytest.raises(LengthMismatchError):
-            demodulate(base_upchirp(SF7), SF7, ReductionFactor(1.0), 2)
+            demodulate(chirp(0), SF7, ReductionFactor(1.0), 2)
 
     @pytest.mark.parametrize("count, message", [(-1, "count must be >= 0, got -1"),
                                                 (2.0, "count must be an integer, got 2.0"),
@@ -274,8 +278,8 @@ class TestDemodulate:
         for rf in ALL_RF:
             m = rf.m(SF7)
             for k in rng.integers(0, 128, 8):
-                direct = demodulate(truncate(shifted_upchirp(SF7, int(k)), rf, SF7), SF7, rf, 1)
-                full_product = shifted_upchirp(SF7, int(k)).samples * base_downchirp(SF7).samples
+                direct = demodulate(chirp(k, rf), SF7, rf, 1)
+                full_product = chirp(k).samples * DOWN
                 via_product = np.abs(np.fft.fft(full_product[:m], 128))
                 assert direct.symbols[0] == via_product.argmax() == k
                 assert direct.peaks[0] == via_product.max()

@@ -23,9 +23,18 @@ PINNED = {
     2: ("2.4.6", {
         "ber.csv": "c4ec29e069a33dbb77e0469f4e0ff08c88b34d39d77d23f980b511fc84c413b3",
         "bins.csv": "0cdc37824d02a9850e82e9319f4e7e0a688dc0d9d0d4ba36b7e69c4a60901442",
+        "chirp.cf32": "d9d31895751dad3953ba50766f6028a346e6817f88fbbc20edf395cecadb00a7",
+        "chirp.cf32.freq.csv": "dd5db144dbc10a4aee06714ef58613a43f5d83ae15abd06adc556d208c1d142c",
+        "chirp.cf32.meta": "942ea456c4fdc276707b63904bbdc6be99c8251de0aad2694951b42d777f0f50",
+        "down.cf32": "adb81c30e650c2256d5904f2eb6fcba3a4ecc23bca53257fac6dd2e5e54e424c",
+        "down.cf32.freq.csv": "90e370effadce211d9a80915422fe47c9919a3f81625fbd67a7ebc1e30d1797f",
+        "down.cf32.meta": "c8a41a56634f4b0c7c607da2cc5170765550a9055c8b28c451ceb4ccc32501fb",
         "frame-decode.out": "7e1f8bdc2f13c7dfd2d1be28ab46850f41c661b1c5b9e948b52a1b67ca44875a",
         "frame.cf32": "0773a584f53d1675fd0ffd03c44734b5185a2b8baa203e15edd4bed90bc5c24b",
         "frame.cf32.meta": "35856e82cb01ecc39892b23efb74c44624abd838006745c216a3e77c0f22154e",
+        "mod.cf32": "7a7e8c2c6198db164a328db150bc32b3bd889875d619db6906e62841f9184f0d",
+        "mod.cf32.meta": "980ee6677296ce2a92d2c58011c11fda0900e0ac68b65580bd45209ed55cf688",
+        "mod.freq.csv": "02016a2c8603002289e4d7b247835eab1a29739857cd8410ed453da4aba70d6d",
         "peak.csv": "a4985b8b61a54a4bf6a35ffefa79f227f9760c54a42f5ee8df60d7971e7e0ba4",
         "select.out": "de5f029f8286117dd7da22cb67ec850861390c554b1b3773deafd54e72692b14",
         "table.csv": "c7083085d33ce2429ea797ae9b91f990662943d95d3bbacf3614ee4bc425b0d9",
@@ -45,17 +54,28 @@ PINNED = {
     4: ("2.4.6", {
         "ber.csv": "34085363c9c471523369abf8e9d1540798c69e0e82139ad80dd6506adbef97b1",
         "bins.csv": "e6c73ab19562a2e1b0f58637d8c77c57d9e4be41cfe3e73e805e6ad63ce457a3",
+        "chirp.cf32": "d9d31895751dad3953ba50766f6028a346e6817f88fbbc20edf395cecadb00a7",
+        "chirp.cf32.freq.csv": "dd5db144dbc10a4aee06714ef58613a43f5d83ae15abd06adc556d208c1d142c",
+        "chirp.cf32.meta": "942ea456c4fdc276707b63904bbdc6be99c8251de0aad2694951b42d777f0f50",
+        "down.cf32": "adb81c30e650c2256d5904f2eb6fcba3a4ecc23bca53257fac6dd2e5e54e424c",
+        "down.cf32.freq.csv": "90e370effadce211d9a80915422fe47c9919a3f81625fbd67a7ebc1e30d1797f",
+        "down.cf32.meta": "c8a41a56634f4b0c7c607da2cc5170765550a9055c8b28c451ceb4ccc32501fb",
         "frame-decode.out": "7e1f8bdc2f13c7dfd2d1be28ab46850f41c661b1c5b9e948b52a1b67ca44875a",
         "frame.cf32": "0773a584f53d1675fd0ffd03c44734b5185a2b8baa203e15edd4bed90bc5c24b",
         "frame.cf32.meta": "35856e82cb01ecc39892b23efb74c44624abd838006745c216a3e77c0f22154e",
+        "mod.cf32": "7a7e8c2c6198db164a328db150bc32b3bd889875d619db6906e62841f9184f0d",
+        "mod.cf32.meta": "980ee6677296ce2a92d2c58011c11fda0900e0ac68b65580bd45209ed55cf688",
+        "mod.freq.csv": "02016a2c8603002289e4d7b247835eab1a29739857cd8410ed453da4aba70d6d",
         "peak.csv": "aa86959ad7e7e059f2b5bb7b5dd4dc2f376f43d6b2ea1770cfe86024c91c938c",
         "select.out": "de5f029f8286117dd7da22cb67ec850861390c554b1b3773deafd54e72692b14",
         "table.csv": "f9030bdd3987c7f4b931e702010c67edda2e66593c96271b74fc8a9e9fff51af",
         "toa.out": "9d8ceb03d2b8f1dd264aeaa3ddbb4c95dff83cc21df1d43711a4536417c6f218",
     }),
 }
-# outputs the trial engine never touches: the waveform channel keeps its own Philox stream
-ENGINE_FREE = ("frame-decode.out", "frame.cf32", "frame.cf32.meta", "toa.out")
+# outputs the trial engine never touches: the transmitter, and the waveform channel with its own Philox stream
+ENGINE_FREE = ("chirp.cf32", "chirp.cf32.freq.csv", "chirp.cf32.meta", "down.cf32", "down.cf32.freq.csv",
+               "down.cf32.meta", "frame-decode.out", "frame.cf32", "frame.cf32.meta", "mod.cf32", "mod.cf32.meta",
+               "mod.freq.csv", "toa.out")
 # stream version 4 re-drew only the full-period (beta = 1) trials: the sha256 of each CSV's beta < 1 rows
 # without the cells that name the version or divide by a beta = 1 row (truncated_rows), recorded under version 3
 TRUNCATED_ROWS_V3 = {
@@ -77,8 +97,13 @@ COMMANDS = (
     ("frame-decode --in {d}/frame.cf32", "frame-decode.out"),
     ("toa --sf 9 --beta 0.625 --ns 20", "toa.out"),
     ("select --table {d}/table.csv --in {d}/history.txt --sf 7", "select.out"),
+    ("chirp --sf 9 --symbol 77 --beta 0.625 --out {d}/chirp.cf32", None),
+    ("chirp --sf 7 --down --beta 0.5 --out {d}/down.cf32", None),
+    ("mod --sf 10 --beta 0.75 --payload '3 900 17' --out {d}/mod.cf32 --freq-out {d}/mod.freq.csv", None),
 )
-FILES = ("ber.csv", "peak.csv", "bins.csv", "table.csv", "frame.cf32", "frame.cf32.meta")
+FILES = ("ber.csv", "peak.csv", "bins.csv", "table.csv", "frame.cf32", "frame.cf32.meta",
+         "chirp.cf32", "chirp.cf32.meta", "chirp.cf32.freq.csv", "down.cf32", "down.cf32.meta",
+         "down.cf32.freq.csv", "mod.cf32", "mod.cf32.meta", "mod.freq.csv")
 NAMES = sorted(FILES + tuple(name for _, name in COMMANDS if name))
 
 
