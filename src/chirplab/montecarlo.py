@@ -23,11 +23,15 @@ any number of SNR points (the calibration search scores a block of its grid
 per pass). Below beta = 1, chunks hold max(1, 2**15 // n) trials (256 at
 sf 7, 32 at sf 10, 8 at sf 12), so one complex array is 512 KB at every sf;
 at beta = 1 they hold 2**13 trials. The chunk sizes are part of the stream
-(STREAM_VERSION).
+(STREAM_VERSION). Below beta = 1 one worker thread draws the chunks in
+stream order, one chunk ahead of the transform, and is the only code that
+touches the generator, so no byte depends on thread timing.
 """
 from __future__ import annotations
 
 import math
+import queue
+import threading
 
 import numpy as np
 
@@ -97,22 +101,45 @@ def _truncated_trials(rng: np.random.Generator, n: int, m: int, scales, trials: 
 
     The bin magnitudes are |S + sigma * W|, with S the dechirped symbol 0
     (the n-point transform of m ones) and W the transforms of the noise, one
-    row per trial.
+    row per trial. A worker thread, the only code that touches rng, draws the
+    next chunk while this thread transforms and scores the current one (both
+    NumPy calls release the GIL). An error in a draw is raised here, and
+    closing the generator stops the worker.
     """
     tone = np.fft.fft(np.ones(m), n=n)
     chunk = max(1, _CHUNK_SAMPLES // n)
-    for done in range(0, trials, chunk):
-        count = min(chunk, trials - done)
-        sent = rng.integers(0, n, count)
-        noise = np.fft.fft(rng.standard_normal((count, m, 2)).view(np.complex128)[..., 0], n=n, axis=1)
-        for i, scale in enumerate(scales):
-            spectra = noise * scale
-            spectra += tone
-            mags = np.abs(spectra)
-            del spectra  # held across the yield, it slowed sf 10 trials about 10% (2-vCPU x86 VM)
-            offsets = mags.argmax(axis=1)
-            bins = mags[0].copy() if done == 0 else None
-            yield i, sent, offsets, mags[np.arange(count), offsets], bins
+    wanted, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def draw():
+        while count := wanted.get():  # one chunk per request, so the stream order is the serial one
+            try:
+                drawn.put((rng.integers(0, n, count), rng.standard_normal((count, m, 2))))
+            except BaseException as error:  # raised again on the caller's thread
+                drawn.put(error)
+
+    # a daemon, so that a generator left suspended at exit does not hold the interpreter open
+    worker = threading.Thread(target=draw, daemon=True)
+    worker.start()
+    wanted.put(min(chunk, trials))
+    try:
+        for done in range(0, trials, chunk):
+            item = drawn.get()
+            if isinstance(item, BaseException):
+                raise item
+            sent, normals = item
+            wanted.put(min(chunk, max(0, trials - done - chunk)))  # 0 after the last chunk ends the worker
+            count = len(sent)
+            noise = np.fft.fft(normals.view(np.complex128)[..., 0], n=n, axis=1)
+            for i, scale in enumerate(scales):
+                spectra = noise * scale
+                spectra += tone
+                mags = np.abs(spectra)
+                offsets = mags.argmax(axis=1)
+                bins = mags[0].copy() if done == 0 else None
+                yield i, sent, offsets, mags[np.arange(count), offsets], bins
+    finally:
+        wanted.put(0)
+        worker.join()
 
 
 def _full_period_trials(rng: np.random.Generator, n: int, scales, trials: int):

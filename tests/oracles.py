@@ -9,6 +9,7 @@ from chirplab.framing import PreambleNotFoundError
 from chirplab.modem import NOISE_FLOOR_MIN, _window_spectra, modulate
 # the bounds live in the library, which seeds calibration with union_bound_ser; tests import them from here
 from chirplab.montecarlo import log_i0, marcum_q1, union_bound_ser  # noqa: F401
+from chirplab.montecarlo import _CHUNK_SAMPLES
 
 
 def dft_matrix(n: int, rows: slice = slice(None)) -> np.ndarray:
@@ -232,3 +233,22 @@ def gathered_trials(params, rf, snr_db, trials, rng):
         errors += int((mags.argmax(axis=1) != sent).sum())
         peaks.append(mags.max(axis=1))
     return errors, np.concatenate(peaks)
+
+
+def serial_truncated_trials(rng, n, m, scales, trials):
+    """Reference for montecarlo._truncated_trials: the same draws and arithmetic in one serial loop.
+
+    Each chunk of max(1, 2**15 // n) trials draws its symbols and then its
+    noise, and is transformed and scored before the next chunk is drawn.
+    """
+    tone = np.fft.fft(np.ones(m), n=n)
+    chunk = max(1, _CHUNK_SAMPLES // n)
+    for done in range(0, trials, chunk):
+        count = min(chunk, trials - done)
+        sent = rng.integers(0, n, count)
+        noise = np.fft.fft(rng.standard_normal((count, m, 2)).view(np.complex128)[..., 0], n=n, axis=1)
+        for i, scale in enumerate(scales):
+            mags = np.abs(noise * scale + tone)
+            offsets = mags.argmax(axis=1)
+            bins = mags[0].copy() if done == 0 else None
+            yield i, sent, offsets, mags[np.arange(count), offsets], bins

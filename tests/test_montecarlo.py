@@ -1,12 +1,16 @@
 """The Monte-Carlo trial engine against analytic symbol error rates and the gathered-chirp engine."""
+import faulthandler
+import sys
+import threading
 from math import comb, erfc, log, sqrt
 
 import numpy as np
 import pytest
 
 from chirplab import montecarlo
+from chirplab.channel import noise_scale
 from chirplab.chirps import BETA_TABLE, LoraParams, ReductionFactor
-from chirplab.montecarlo import TAG_CALIBRATION, peak_statistics, run_error_trials, symbol_error_rate
+from chirplab.montecarlo import TAG_BER, TAG_CALIBRATION, peak_statistics, run_error_trials, symbol_error_rate
 
 from oracles import (
     analytic_ber,
@@ -16,6 +20,7 @@ from oracles import (
     marcum_q1,
     orthogonal_subset_ser,
     pairwise_errors,
+    serial_truncated_trials,
     union_bound_ber,
     union_bound_ser,
 )
@@ -198,3 +203,108 @@ def test_symbol_error_rate_per_point_ignores_its_companions(monkeypatch, beta):
     monkeypatch.setattr(montecarlo, "TAG_BER", TAG_CALIBRATION)
     assert sers == [ser for ser, _ in run_error_trials(params, rf, snrs, trials, 4)]
     assert sers[0] > sers[-1]
+
+
+def same_bytes(a, b) -> bool:
+    """Two yielded columns are the same when both are None or both hold the same dtype, shape and bytes."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_serial_bytes(rows, params, rf, snrs, trials, seed):
+    """rows, all that _received yielded on seed's BER stream, are the serial loop's rows, bit for bit."""
+    rng = montecarlo.derive_rng(seed, TAG_BER, params.sf, rf.beta)
+    scales = [noise_scale(snr_db) for snr_db in snrs]
+    want = list(serial_truncated_trials(rng, params.n, rf.m(params), scales, trials))
+    assert len(rows) == len(want), (trials, seed)
+    for row, expected in zip(rows, want):
+        assert row[0] == expected[0] and all(map(same_bytes, row[1:], expected[1:])), (trials, seed, row[0])
+
+
+@pytest.mark.parametrize("sf", [7, 10, 12])
+@pytest.mark.parametrize("beta", [beta for beta in BETA_TABLE if beta < 1.0])
+def test_pipelined_trials_match_the_serial_loop(sf, beta):
+    # trial counts around the chunk size cover a partial last chunk and a run with nothing drawn ahead
+    params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
+    chunk = max(1, (1 << 15) >> sf)
+    for snrs in ([-10.0], [-20.0, -10.0, 0.0, 10.0]):
+        for trials in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            rows = list(montecarlo._received(params, rf, snrs, trials, 5, TAG_BER))
+            assert len(rows) == len(snrs) * -(-trials // chunk)
+            assert_serial_bytes(rows, params, rf, snrs, trials, 5)
+
+
+@pytest.fixture
+def no_hang():
+    # a deadlocked engine fails the run with every thread's stack instead of stalling it
+    faulthandler.dump_traceback_later(60, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def test_concurrent_engines_keep_their_streams(no_hang):
+    # four callers and their four workers on two cores, switching threads every microsecond: each
+    # engine must still yield the serial loop's bytes, so no draw went to another engine's stream
+    params, rf, snrs, trials = LoraParams(sf=10, bw=125e3), ReductionFactor(0.75), [-15.0, -12.0], 200
+    rows = {}
+
+    def run(seed):
+        rows[seed] = list(montecarlo._received(params, rf, snrs, trials, seed, TAG_BER))
+
+    callers = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=50)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for seed in range(4):
+        assert_serial_bytes(rows[seed], params, rf, snrs, trials, seed)
+
+
+def test_closing_the_engine_stops_its_worker(no_hang):
+    params, rf = LoraParams(sf=7, bw=125e3), ReductionFactor(0.5)
+    baseline = threading.active_count()
+    received = montecarlo._received(params, rf, [0.0], 100_000, 0, TAG_BER)
+    assert threading.active_count() == baseline  # nothing starts before the first chunk is asked for
+    next(received)
+    assert threading.active_count() == baseline + 1
+    received.close()
+    assert threading.active_count() == baseline
+    run_error_trials(params, rf, [0.0], 1000, 0)
+    assert threading.active_count() == baseline
+
+
+class DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_draw", [0, 2])  # the first chunk's draw, and one drawn ahead
+def test_a_draw_error_reaches_the_caller_as_itself(monkeypatch, no_hang, failing_draw):
+    error = DrawFailed()
+    derive_rng = montecarlo.derive_rng
+
+    class FailingGenerator:
+        def __init__(self, *key):
+            self.rng, self.draws = derive_rng(*key), 0
+
+        def integers(self, *args):
+            return self.rng.integers(*args)
+
+        def standard_normal(self, size):
+            self.draws += 1
+            if self.draws > failing_draw:
+                raise error
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(montecarlo, "derive_rng", FailingGenerator)
+    baseline = threading.active_count()
+    with pytest.raises(DrawFailed) as raised:
+        run_error_trials(LoraParams(sf=7, bw=125e3), ReductionFactor(0.5), [0.0], 1000, 0)  # 4 chunks
+    assert raised.value is error
+    assert threading.active_count() == baseline
