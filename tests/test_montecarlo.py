@@ -244,7 +244,7 @@ def no_hang():
 
 
 def test_concurrent_engines_keep_their_streams(no_hang):
-    # four callers and their four workers on two cores, switching threads every microsecond: each
+    # four callers and their four workers, more threads than cores, switching every microsecond: each
     # engine must still yield the serial loop's bytes, so no draw went to another engine's stream
     params, rf, snrs, trials = LoraParams(sf=10, bw=125e3), ReductionFactor(0.75), [-15.0, -12.0], 200
     rows = {}
