@@ -26,6 +26,22 @@ at beta = 1 they hold 2**13 trials. The chunk sizes are part of the stream
 (STREAM_VERSION). Below beta = 1 one worker thread draws the chunks in
 stream order, one chunk ahead of the transform, and is the only code that
 touches the generator, so no byte depends on thread timing.
+
+Screened scoring: below beta = 1, a call with two or more SNR points scores
+a trial on its near bins alone when no other bin can win. The near set is
+bin 0 and the _NEAR bins on each side of it, in index order; the far set is
+the contiguous rest, bins _NEAR + 1 .. n - _NEAR - 1. Once per chunk, for
+every point alike, each trial takes its largest far noise magnitude w. By
+the triangle inequality no far bin exceeds sigma * w + max |S_k| over the far
+bins, so a trial whose best near magnitude tops that bound by the relative
+margin 1e-9 (which covers the rounding of both sides) has its argmax and
+peak in the near set. The near magnitudes come from the full row's
+elementwise expressions, so they have the same bits, and argmax over bins in
+index order keeps the lowest bin on a tie, as over the full row. Every other
+trial takes the full row, and so does trial 0 of the first chunk, whose bins
+row is yielded. w costs about as much as scoring one point, so it pays only
+when points share it: a one-point call scores every trial on the full row.
+The screen changes no draw and no output byte.
 """
 from __future__ import annotations
 
@@ -54,6 +70,10 @@ TAG_CALIBRATION = 2
 
 _CHUNK_SAMPLES = 1 << 15
 _FULL_PERIOD_CHUNK = 1 << 13
+# screened scoring (module docstring): the near bins on each side of bin 0, and the relative margin by
+# which a trial's near peak must top the far bins' bound, which covers the rounding of both
+_NEAR = 8
+_SCREEN_MARGIN = 1.0 - 1e-9
 
 
 def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
@@ -105,8 +125,22 @@ def _truncated_trials(rng: np.random.Generator, n: int, m: int, scales, trials: 
     next chunk while this thread transforms and scores the current one (both
     NumPy calls release the GIL). An error in a draw is raised here, and
     closing the generator stops the worker.
+
+    With two or more scales, the scoring is screened (see the module
+    docstring): per chunk, w is each trial's largest |W_k| over the far slice
+    _NEAR + 1 .. n - _NEAR - 1; per scale, the near bins 0 .. _NEAR and
+    n - _NEAR .. n - 1 are scored as the full row scores them, and a trial is
+    settled when sigma * w + max over the far slice of |S_k| is below its best
+    near magnitude times _SCREEN_MARGIN = 1 - 1e-9. Every other trial, and
+    trial 0 of the first chunk, gets the full row. With one scale every
+    trial gets the full row: w costs about one scale's full scoring, so the
+    screen pays only when several scales share it.
     """
     tone = np.fft.fft(np.ones(m), n=n)
+    screen = len(scales) > 1
+    near = np.r_[0: _NEAR + 1, n - _NEAR: n]
+    near_tone, far = tone[near], slice(_NEAR + 1, n - _NEAR)
+    far_tone = np.abs(tone[far]).max()
     chunk = max(1, _CHUNK_SAMPLES // n)
     wanted, drawn = queue.SimpleQueue(), queue.SimpleQueue()
 
@@ -128,18 +162,36 @@ def _truncated_trials(rng: np.random.Generator, n: int, m: int, scales, trials: 
                 raise item
             sent, normals = item
             wanted.put(min(chunk, max(0, trials - done - chunk)))  # 0 after the last chunk ends the worker
-            count = len(sent)
             noise = np.fft.fft(normals.view(np.complex128)[..., 0], n=n, axis=1)
+            if screen:
+                near_noise = noise[:, near]
+                far_noise = np.abs(noise[:, far]).max(axis=1)
             for i, scale in enumerate(scales):
-                spectra = noise * scale
-                spectra += tone
-                mags = np.abs(spectra)
-                offsets = mags.argmax(axis=1)
+                if screen:
+                    _, picks, peaks = _scored(near_noise, scale, near_tone)
+                    offsets = near[picks]
+                    # a trial that a far bin might win takes the full row, and so does the bins row's trial
+                    full = scale * far_noise + far_tone >= peaks * _SCREEN_MARGIN
+                    full[0] |= done == 0
+                    rows = np.flatnonzero(full)
+                    if len(rows):
+                        mags, offsets[rows], peaks[rows] = _scored(noise[rows], scale, tone)
+                else:
+                    mags, offsets, peaks = _scored(noise, scale, tone)
                 bins = mags[0].copy() if done == 0 else None
-                yield i, sent, offsets, mags[np.arange(count), offsets], bins
+                yield i, sent, offsets, peaks, bins
     finally:
         wanted.put(0)
         worker.join()
+
+
+def _scored(noise: np.ndarray, scale: float, tone: np.ndarray):
+    """(|tone + scale * noise| row by row, each row's argmax, each row's maximum) for rows of transformed noise."""
+    spectra = noise * scale
+    spectra += tone
+    mags = np.abs(spectra)
+    offsets = mags.argmax(axis=1)
+    return mags, offsets, mags[np.arange(len(mags)), offsets]
 
 
 def _full_period_trials(rng: np.random.Generator, n: int, scales, trials: int):

@@ -235,6 +235,111 @@ def test_pipelined_trials_match_the_serial_loop(sf, beta):
             assert_serial_bytes(rows, params, rf, snrs, trials, 5)
 
 
+# from far below every threshold, where most trials take the full row, to far above; 4000 dB's noise scale is 0
+SCREENED_SNRS = ([-40.0, -25.0, -18.0, -14.0, -10.0, -6.0, -2.0, 30.0], [-40.0, -20.0], [-6.0, 4000.0])
+
+
+@pytest.mark.parametrize("sf", [7, 10, 12])
+@pytest.mark.parametrize("beta", [beta for beta in BETA_TABLE if beta < 1.0])
+def test_screened_trials_match_the_serial_loop(sf, beta):
+    # two or more SNR points screen the scoring; each point's columns must still be the full rows' bit for bit
+    params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
+    trials = 4 * max(1, (1 << 15) >> sf) + 3
+    for snrs in SCREENED_SNRS:
+        rows = list(montecarlo._received(params, rf, snrs, trials, 6, TAG_BER))
+        assert_serial_bytes(rows, params, rf, snrs, trials, 6)
+
+
+def full_rows_per_point(monkeypatch, snrs, trials):
+    """Per SNR point of one sf 7, beta 0.5 engine call: how many trials it scored on the full row."""
+    per_point, point = [0] * len(snrs), [len(snrs) - 1]
+    scored = montecarlo._scored
+
+    def counted(noise, scale, tone):
+        if noise.shape[1] == 128:
+            per_point[point[0]] += len(noise)
+        else:  # a screened point scores its near bins first
+            point[0] = (point[0] + 1) % len(snrs)
+        return scored(noise, scale, tone)
+
+    monkeypatch.setattr(montecarlo, "_scored", counted)
+    list(montecarlo._received(LoraParams(sf=7, bw=125e3), ReductionFactor(0.5), snrs, trials, 2, TAG_BER))
+    monkeypatch.undo()
+    return per_point
+
+
+def test_screen_scores_the_full_row_only_where_needed(monkeypatch):
+    trials = 3 * 256
+    deep, high = full_rows_per_point(monkeypatch, [-40.0, 30.0], trials)
+    assert deep >= 0.8 * trials, deep
+    assert high == 1  # trial 0 of the first chunk, whose bins row is yielded
+    # one point is not screened: every trial takes the full row
+    assert full_rows_per_point(monkeypatch, [30.0], trials) == [trials]
+
+
+class Zeros:
+    """A generator stand-in that draws zeros; with the transform replaced too, only the shapes it draws matter."""
+
+    def integers(self, low, high, count):
+        return np.zeros(count, dtype=np.int64)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def assert_crafted_rows_score_as_full_rows(monkeypatch, tone, noise, scales):
+    """With the transform returning `tone` for symbol 0 and `noise` for the draws, the engine is the serial loop."""
+    n = len(tone)
+
+    def transform(a, n=None, axis=-1):
+        return tone.copy() if np.ndim(a) == 1 else noise[: len(a)].copy()
+
+    monkeypatch.setattr(np.fft, "fft", transform)
+    rows = list(montecarlo._truncated_trials(Zeros(), n, n // 2, scales, len(noise)))
+    want = list(serial_truncated_trials(Zeros(), n, n // 2, scales, len(noise)))
+    monkeypatch.undo()
+    assert len(rows) == len(want) == len(scales)
+    for row, expected in zip(rows, want):
+        assert row[0] == expected[0] and all(map(same_bytes, row[1:], expected[1:])), (row[2], expected[2])
+
+
+def test_screen_misses_no_bin(monkeypatch):
+    # one loud bin per trial, at each edge of the near and far sets, over a tone of 1 in bin 0: a bin in neither
+    # set would let its trial settle on bin 0
+    n, near = 128, montecarlo._NEAR
+    edges = (near, near + 1, n - near - 1, n - near)
+    noise = np.zeros((1 + len(edges), n), dtype=complex)
+    for row, edge in enumerate(edges, 1):
+        noise[row, edge] = 100.0
+    assert_crafted_rows_score_as_full_rows(monkeypatch, np.eye(1, n, dtype=complex)[0], noise, [1.0, 0.5])
+
+
+def test_screen_keeps_the_lowest_bin_on_a_tie(monkeypatch):
+    # bins 3 and n - 3 tie at the top, far above any far bin: the full row's argmax, and so the screen's, is bin 3
+    n = 128
+    noise = np.zeros((2, n), dtype=complex)
+    noise[1, [3, n - 3]] = 50.0
+    assert_crafted_rows_score_as_full_rows(monkeypatch, np.eye(1, n, dtype=complex)[0], noise, [1.0, 0.5])
+
+
+def test_screen_margin_covers_rounding(monkeypatch):
+    # a far bin whose noise and tone point the same way reaches its bound, and rounding can put its computed
+    # magnitude an ulp above the computed bound; a near bin of that same magnitude, above it in index order,
+    # then loses the full row's tie to it, so only the margin keeps such a trial off the near set
+    n, far_bin = 128, 64
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    s = w * rng.uniform(0.1, 10.0, 4096)  # far tones aligned with their noise
+    scale = rng.uniform(0.5, 2.0, 4096)
+    reached = np.abs(w * scale + s)
+    over = np.flatnonzero(reached > scale * np.abs(w) + np.abs(s))
+    assert len(over) >= 8, "rounding put too few far magnitudes above their bound"
+    for k in over[:8]:
+        tone, noise = np.zeros(n, dtype=complex), np.zeros((2, n), dtype=complex)
+        tone[far_bin], tone[n - 1], noise[1, far_bin] = s[k], reached[k], w[k]
+        assert_crafted_rows_score_as_full_rows(monkeypatch, tone, noise, [1.0, scale[k]])
+
+
 @pytest.fixture
 def no_hang():
     # a deadlocked engine fails the run with every thread's stack instead of stalling it

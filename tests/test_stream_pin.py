@@ -54,6 +54,7 @@ PINNED = {
     4: ("2.4.6", {
         "ber.csv": "34085363c9c471523369abf8e9d1540798c69e0e82139ad80dd6506adbef97b1",
         "bins.csv": "e6c73ab19562a2e1b0f58637d8c77c57d9e4be41cfe3e73e805e6ad63ce457a3",
+        "bins-points.csv": "dbc341c8ac3d33cb491e1fa6982a444e765279173a23acdb3cffff66eb4764bd",
         "chirp.cf32": "d9d31895751dad3953ba50766f6028a346e6817f88fbbc20edf395cecadb00a7",
         "chirp.cf32.freq.csv": "dd5db144dbc10a4aee06714ef58613a43f5d83ae15abd06adc556d208c1d142c",
         "chirp.cf32.meta": "942ea456c4fdc276707b63904bbdc6be99c8251de0aad2694951b42d777f0f50",
@@ -67,6 +68,7 @@ PINNED = {
         "mod.cf32.meta": "980ee6677296ce2a92d2c58011c11fda0900e0ac68b65580bd45209ed55cf688",
         "mod.freq.csv": "02016a2c8603002289e4d7b247835eab1a29739857cd8410ed453da4aba70d6d",
         "peak.csv": "aa86959ad7e7e059f2b5bb7b5dd4dc2f376f43d6b2ea1770cfe86024c91c938c",
+        "peak-points.csv": "ee5a05d820c62a440d7ad65b47ab44c8f5c25e832491ff2c8045a35cb0e5d824",
         "select.out": "de5f029f8286117dd7da22cb67ec850861390c554b1b3773deafd54e72692b14",
         "table.csv": "f9030bdd3987c7f4b931e702010c67edda2e66593c96271b74fc8a9e9fff51af",
         "toa.out": "9d8ceb03d2b8f1dd264aeaa3ddbb4c95dff83cc21df1d43711a4536417c6f218",
@@ -92,6 +94,9 @@ COMMANDS = (
      "--trials 2000 --seed 5 --out {d}/ber.csv", None),
     ("peak-experiment --sf 7 --betas 1.0,0.5 --snr-start -5 --snr-stop -5 --trials 200 --seed 3 "
      "--out {d}/peak.csv --bins-out {d}/bins.csv", None),
+    # several points, from far below the thresholds (most trials take the full row) to above sf 7's
+    ("peak-experiment --sf 7,10 --betas 0.75,0.5 --snr-start -30 --snr-stop 0 --snr-step 10 --trials 600 "
+     "--seed 11 --out {d}/peak-points.csv --bins-out {d}/bins-points.csv", None),
     ("calibrate --sf 7 --betas 1.0,0.5 --target-ser 0.01 --trials 2000 --seed 9 --out {d}/table.csv", None),
     ("frame-encode --sf 7 --beta 0.75 --payload '5 17 99 0 127 64 3 3' --snr 0 --seed 4 --out {d}/frame.cf32", None),
     ("frame-decode --in {d}/frame.cf32", "frame-decode.out"),
@@ -101,8 +106,8 @@ COMMANDS = (
     ("chirp --sf 7 --down --beta 0.5 --out {d}/down.cf32", None),
     ("mod --sf 10 --beta 0.75 --payload '3 900 17' --out {d}/mod.cf32 --freq-out {d}/mod.freq.csv", None),
 )
-FILES = ("ber.csv", "peak.csv", "bins.csv", "table.csv", "frame.cf32", "frame.cf32.meta",
-         "chirp.cf32", "chirp.cf32.meta", "chirp.cf32.freq.csv", "down.cf32", "down.cf32.meta",
+FILES = ("ber.csv", "peak.csv", "bins.csv", "peak-points.csv", "bins-points.csv", "table.csv", "frame.cf32",
+         "frame.cf32.meta", "chirp.cf32", "chirp.cf32.meta", "chirp.cf32.freq.csv", "down.cf32", "down.cf32.meta",
          "down.cf32.freq.csv", "mod.cf32", "mod.cf32.meta", "mod.freq.csv")
 NAMES = sorted(FILES + tuple(name for _, name in COMMANDS if name))
 
