@@ -139,8 +139,8 @@ def _truncated_trials(rng: np.random.Generator, n: int, m: int, scales, trials: 
     tone = np.fft.fft(np.ones(m), n=n)
     screen = len(scales) > 1
     near = np.r_[0: _NEAR + 1, n - _NEAR: n]
-    near_tone, far = tone[near], slice(_NEAR + 1, n - _NEAR)
-    far_tone = np.abs(tone[far]).max()
+    far = slice(_NEAR + 1, n - _NEAR)
+    near_tone, far_tone = tone[near], np.abs(tone[far]).max()
     chunk = max(1, _CHUNK_SAMPLES // n)
     wanted, drawn = queue.SimpleQueue(), queue.SimpleQueue()
 

@@ -235,8 +235,8 @@ def test_pipelined_trials_match_the_serial_loop(sf, beta):
             assert_serial_bytes(rows, params, rf, snrs, trials, 5)
 
 
-# from far below every threshold, where most trials take the full row, to far above; 4000 dB's noise scale is 0
-SCREENED_SNRS = ([-40.0, -25.0, -18.0, -14.0, -10.0, -6.0, -2.0, 30.0], [-40.0, -20.0], [-6.0, 4000.0])
+# from far below every threshold, where most trials take the full row, to far above; 7000 dB's noise scale is 0
+SCREENED_SNRS = ([-40.0, -25.0, -18.0, -14.0, -10.0, -6.0, -2.0, 30.0], [-40.0, -20.0], [-6.0, 7000.0])
 
 
 @pytest.mark.parametrize("sf", [7, 10, 12])
@@ -245,6 +245,7 @@ def test_screened_trials_match_the_serial_loop(sf, beta):
     # two or more SNR points screen the scoring; each point's columns must still be the full rows' bit for bit
     params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
     trials = 4 * max(1, (1 << 15) >> sf) + 3
+    assert noise_scale(SCREENED_SNRS[-1][-1]) == 0.0
     for snrs in SCREENED_SNRS:
         rows = list(montecarlo._received(params, rf, snrs, trials, 6, TAG_BER))
         assert_serial_bytes(rows, params, rf, snrs, trials, 6)
@@ -252,14 +253,15 @@ def test_screened_trials_match_the_serial_loop(sf, beta):
 
 def full_rows_per_point(monkeypatch, snrs, trials):
     """Per SNR point of one sf 7, beta 0.5 engine call: how many trials it scored on the full row."""
-    per_point, point = [0] * len(snrs), [len(snrs) - 1]
+    per_point, point = [0] * len(snrs), len(snrs) - 1
     scored = montecarlo._scored
 
     def counted(noise, scale, tone):
+        nonlocal point
         if noise.shape[1] == 128:
-            per_point[point[0]] += len(noise)
+            per_point[point] += len(noise)
         else:  # a screened point scores its near bins first
-            point[0] = (point[0] + 1) % len(snrs)
+            point = (point + 1) % len(snrs)
         return scored(noise, scale, tone)
 
     monkeypatch.setattr(montecarlo, "_scored", counted)
@@ -289,14 +291,14 @@ class Zeros:
 
 def assert_crafted_rows_score_as_full_rows(monkeypatch, tone, noise, scales):
     """With the transform returning `tone` for symbol 0 and `noise` for the draws, the engine is the serial loop."""
-    n = len(tone)
+    size = len(tone)
 
     def transform(a, n=None, axis=-1):
         return tone.copy() if np.ndim(a) == 1 else noise[: len(a)].copy()
 
     monkeypatch.setattr(np.fft, "fft", transform)
-    rows = list(montecarlo._truncated_trials(Zeros(), n, n // 2, scales, len(noise)))
-    want = list(serial_truncated_trials(Zeros(), n, n // 2, scales, len(noise)))
+    rows = list(montecarlo._truncated_trials(Zeros(), size, size // 2, scales, len(noise)))
+    want = list(serial_truncated_trials(Zeros(), size, size // 2, scales, len(noise)))
     monkeypatch.undo()
     assert len(rows) == len(want) == len(scales)
     for row, expected in zip(rows, want):
