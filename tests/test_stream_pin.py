@@ -15,7 +15,10 @@ import shlex
 import numpy as np
 import pytest
 
-from chirplab import cli
+from chirplab import cli, iqfile
+from chirplab.channel import ChannelConfig, awgn
+from chirplab.chirps import LoraParams, ReductionFactor
+from chirplab.modem import modulate
 from chirplab.montecarlo import STREAM_VERSION
 
 # stream version -> (NumPy version the digests were recorded under, {output: sha256 of its bytes})
@@ -58,12 +61,28 @@ PINNED = {
         "chirp.cf32": "d9d31895751dad3953ba50766f6028a346e6817f88fbbc20edf395cecadb00a7",
         "chirp.cf32.freq.csv": "dd5db144dbc10a4aee06714ef58613a43f5d83ae15abd06adc556d208c1d142c",
         "chirp.cf32.meta": "942ea456c4fdc276707b63904bbdc6be99c8251de0aad2694951b42d777f0f50",
+        "demod-10a.out": "e772c1fde78a772ebe2a694b589f846b0d81d568f74db5b28c6c9f2eecae2a06",
+        "demod-10b.out": "4c6a8ee162c0ebc96d117ea43c8ebb086e3fdde573a0917f1f0bb59d0e5667c0",
+        "demod-12.out": "f8e4f819017d89b0dc7961d99e53fec204a87d3e1f040c6b38f8f930101a7697",
+        "demod-7a.out": "0e017743187139b1d875b21387b658d9ad16d18a15f9e61e19aa41f1e0b26d97",
+        "demod-7b.out": "d261dc32c08cd75f6aea205dbb3ece35355fd8516294f6ca67f7cb5d51a1cb10",
+        "demod-mod.out": "6f0955968bddb7fd5ad8d4b6e611bd1c1d61c44088c0e0c515deea028dad5939",
         "down.cf32": "adb81c30e650c2256d5904f2eb6fcba3a4ecc23bca53257fac6dd2e5e54e424c",
         "down.cf32.freq.csv": "90e370effadce211d9a80915422fe47c9919a3f81625fbd67a7ebc1e30d1797f",
         "down.cf32.meta": "c8a41a56634f4b0c7c607da2cc5170765550a9055c8b28c451ceb4ccc32501fb",
+        "frame-decode-10a.out": "ddde6f486ff53c126f7795a3e4b290ac1642d45094933c1d06644d6c53dfd9c4",
+        "frame-decode-10b.out": "07fee1ee34b0377d54724c513d85159897fc14f95104a112a0c25ffcc45ca7f9",
+        "frame-decode-12.out": "b59eaba86421df9f8a3cf88aca491122665d837484855747b4c536c96c0cba6c",
+        "frame-decode-7a.out": "fb319cdd1349e3ef3063d7ab1a5d297fb58955619ff52e157da6849b1051aed8",
+        "frame-decode-7b.out": "a13b7b852cbd019ce5205725042548275915af7db308c595f882b0b0fe0f7a91",
         "frame-decode.out": "7e1f8bdc2f13c7dfd2d1be28ab46850f41c661b1c5b9e948b52a1b67ca44875a",
         "frame.cf32": "0773a584f53d1675fd0ffd03c44734b5185a2b8baa203e15edd4bed90bc5c24b",
         "frame.cf32.meta": "35856e82cb01ecc39892b23efb74c44624abd838006745c216a3e77c0f22154e",
+        "frame10a.cf32": "8f34312e7893b12dc17c23e9c177f21cc5fc8162f00569232311c12233befede",
+        "frame10b.cf32": "73c8b0d6a5ef4afa56b065f818eace3b92c11dc0cec03c214549db1d5fd45706",
+        "frame12.cf32": "c29a75f8669c4f2c1d71e7feddd2f62d35a394668d2af35d584032b555deb677",
+        "frame7a.cf32": "5250a52c06efc7e20e431e2b26033e3890d660190f5a4ac514a05980e739a032",
+        "frame7b.cf32": "7e57f99c9ede9a1a5407dd9e5f551884f448eadb7d150da40576868ae7c2819c",
         "mod.cf32": "7a7e8c2c6198db164a328db150bc32b3bd889875d619db6906e62841f9184f0d",
         "mod.cf32.meta": "980ee6677296ce2a92d2c58011c11fda0900e0ac68b65580bd45209ed55cf688",
         "mod.freq.csv": "02016a2c8603002289e4d7b247835eab1a29739857cd8410ed453da4aba70d6d",
@@ -105,10 +124,40 @@ COMMANDS = (
     ("chirp --sf 9 --symbol 77 --beta 0.625 --out {d}/chirp.cf32", None),
     ("chirp --sf 7 --down --beta 0.5 --out {d}/down.cf32", None),
     ("mod --sf 10 --beta 0.75 --payload '3 900 17' --out {d}/mod.cf32 --freq-out {d}/mod.freq.csv", None),
+    # the receive chain on noisy frames at sf 7, 10 and 12: payloads of odd and even length, one symbol error at sf 12
+    ("frame-encode --sf 7 --beta 1.0 --payload '5 17 99 0 127 64 3' --snr -5 --seed 31 --out {d}/frame7a.cf32", None),
+    ("frame-decode --in {d}/frame7a.cf32", "frame-decode-7a.out"),
+    ("frame-encode --sf 7 --beta 0.625 --payload '1 2 3 4 5 6 7 8 9 10 11 12' --snr -5 --seed 32 "
+     "--out {d}/frame7b.cf32", None),
+    ("frame-decode --in {d}/frame7b.cf32", "frame-decode-7b.out"),
+    ("frame-encode --sf 10 --beta 0.875 --payload '1000 3 512 77 900 12' --snr -14 --seed 33 "
+     "--out {d}/frame10a.cf32", None),
+    ("frame-decode --in {d}/frame10a.cf32", "frame-decode-10a.out"),
+    ("frame-encode --sf 10 --beta 0.75 --payload '0 1023 511 256 4' --snr -14 --seed 34 --out {d}/frame10b.cf32", None),
+    ("frame-decode --in {d}/frame10b.cf32", "frame-decode-10b.out"),
+    ("frame-encode --sf 12 --beta 0.5 --payload '4000 17 2048 3' --snr -19 --seed 35 --out {d}/frame12.cf32", None),
+    ("frame-decode --in {d}/frame12.cf32", "frame-decode-12.out"),
+    # peaks, floors and SNRs of noisy symbols (NOISY_SYMBOLS), several spanning more than one transform block,
+    # and of the noiseless mod.cf32
+    ("demod --in {d}/sym7a.cf32", "demod-7a.out"),
+    ("demod --in {d}/sym7b.cf32", "demod-7b.out"),
+    ("demod --in {d}/sym10a.cf32", "demod-10a.out"),
+    ("demod --in {d}/sym10b.cf32", "demod-10b.out"),
+    ("demod --in {d}/sym12.cf32 --count 37", "demod-12.out"),
+    ("demod --in {d}/mod.cf32", "demod-mod.out"),
 )
 FILES = ("ber.csv", "peak.csv", "bins.csv", "peak-points.csv", "bins-points.csv", "table.csv", "frame.cf32",
          "frame.cf32.meta", "chirp.cf32", "chirp.cf32.meta", "chirp.cf32.freq.csv", "down.cf32", "down.cf32.meta",
-         "down.cf32.freq.csv", "mod.cf32", "mod.cf32.meta", "mod.freq.csv")
+         "down.cf32.freq.csv", "mod.cf32", "mod.cf32.meta", "mod.freq.csv", "frame7a.cf32", "frame7b.cf32",
+         "frame10a.cf32", "frame10b.cf32", "frame12.cf32")
+# symbol captures the fixture writes for demod: (name, sf, beta, symbols, snr_db, seed of symbols and noise)
+NOISY_SYMBOLS = (
+    ("sym7a.cf32", 7, 1.0, 31, -8.0, 41),
+    ("sym7b.cf32", 7, 0.5, 1100, -6.0, 42),
+    ("sym10a.cf32", 10, 0.875, 50, -15.0, 43),
+    ("sym10b.cf32", 10, 0.625, 130, -14.0, 44),
+    ("sym12.cf32", 12, 0.75, 40, -20.0, 45),
+)
 NAMES = sorted(FILES + tuple(name for _, name in COMMANDS if name))
 
 
@@ -121,6 +170,11 @@ def outputs(tmp_path_factory):
         pytest.skip(f"digests recorded under NumPy {recorded_numpy}, running NumPy {np.__version__}")
     d = tmp_path_factory.mktemp("pin")
     (d / "history.txt").write_text("-1.0\n-2.5\n0.5\n")
+    for name, sf, beta, count, snr_db, seed in NOISY_SYMBOLS:
+        params = LoraParams(sf=sf, bw=125_000.0)
+        clean = modulate(np.random.default_rng(seed).integers(0, params.n, count), params, ReductionFactor(beta))
+        iqfile.write_iq(d / name, awgn(clean, ChannelConfig(snr_db=snr_db, seed=seed)),
+                        {"sf": sf, "bw": params.bw, "beta": beta})
     got = {}
     for template, stdout_name in COMMANDS:
         out = io.StringIO()
