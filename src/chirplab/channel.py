@@ -67,7 +67,18 @@ def awgn(buf: IqBuffer, cfg: ChannelConfig) -> IqBuffer:
 
 
 def snr_estimate(result: DemodResult) -> float:
-    """Median over a demodulation record's windows of the peak-over-floor SNR in dB; ValueError if it has none."""
-    if not len(result):
+    """Median over a demodulation record's windows of the peak-over-floor SNR in dB; ValueError if it has none.
+
+    np.median's value bit for bit, without its Python layers (one call per decoded frame): the same
+    partition of a float64 copy, the mean of the middle one or two values by the same reduction (which
+    turns a lone -0.0 into 0.0), and NaN when a window's SNR is NaN, which the partition puts last.
+    """
+    part = np.array(result.snr_db, dtype=np.float64)
+    count = len(part)
+    if not count:
         raise ValueError("cannot estimate SNR from an empty demodulation record")
-    return float(np.median(result.snr_db))
+    half = count // 2
+    lo = half if count % 2 else half - 1
+    part.partition([half, -1] if count % 2 else [lo, half, -1])
+    median = np.add.reduce(part[lo: half + 1]) / (half + 1 - lo)
+    return float(part[-1] if np.isnan(part[-1]) else median)

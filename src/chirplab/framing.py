@@ -147,19 +147,24 @@ def _screen_windows(samples: np.ndarray, n: int, first: int, stop: int) -> np.nd
     block b plus a prefix sum of block b + 1, so it adds only samples inside
     its window. A sample no hit can hold, non-finite or past the buffer's
     end, is zeroed in the transform, so that it cannot spoil a block, and
-    has infinite power, so that no window holding it passes.
+    has infinite power, so that no window holding it passes. A chunk with
+    no such sample, the usual case, is used as it is.
     """
     chunk = samples[first * n: (stop + 1) * n]
     blocks = stop - first
     finite = np.isfinite(chunk)
-    padded = np.zeros((blocks + 1, n), dtype=np.complex128)
-    np.copyto(padded.reshape(-1)[: len(chunk)], chunk, where=finite)
-    segments = np.concatenate((padded[:-1], padded[1:]), axis=1)
+    power = chunk.real ** 2 + chunk.imag ** 2
+    if len(chunk) < (blocks + 1) * n or not finite.all():
+        padded = np.zeros((blocks + 1) * n, dtype=np.complex128)
+        padded_power = np.full((blocks + 1) * n, np.inf)
+        np.copyto(padded[: len(chunk)], chunk, where=finite)
+        np.copyto(padded_power[: len(chunk)], power, where=finite)
+        chunk, power = padded, padded_power
+    chunk, power = chunk.reshape(blocks + 1, n), power.reshape(blocks + 1, n)
+    segments = np.concatenate((chunk[:-1], chunk[1:]), axis=1)
     corr = np.fft.ifft(np.fft.fft(segments, axis=1) * _screen_template(n), axis=1)[:, :n]
-    power = np.full((blocks + 1, n), np.inf)
-    np.copyto(power.reshape(-1)[: len(chunk)], chunk.real ** 2 + chunk.imag ** 2, where=finite)
-    energy = np.cumsum(power[:-1, ::-1], axis=1)[:, ::-1]
-    energy[:, 1:] += np.cumsum(power[1:, :-1], axis=1)
+    energy = power[:-1, ::-1].cumsum(axis=1)[:, ::-1]
+    energy[:, 1:] += power[1:, :-1].cumsum(axis=1)
     bound = SCREEN_ENERGY_FRACTION * max(1.0, 2.0 / (1.0 + PREAMBLE_PEAK_RATIO ** -2))
     return corr.real ** 2 + corr.imag ** 2 >= bound * energy
 
@@ -188,9 +193,10 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     """
     n = params.n
     need = max(1, check_integer("preamble_len", preamble_len, 1) - 1)
-    if len(buf) < need * n:
+    samples = buf.samples
+    if len(samples) < need * n:
         raise PreambleNotFoundError(f"buffer shorter than the {need} symbols of a preamble run")
-    rows = len(buf) // n
+    rows = len(samples) // n
     grid = np.empty((rows, n), dtype=bool)
     # a run starting at s holds the samples [s, s + need n); the grid holds no
     # start past len - n, so every gathered run lies in the buffer
@@ -202,22 +208,23 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     while screened < rows:
         # the first block is the need rows of row 0's runs; past it, blocks of 1, 2, 4, ... rows
         stop = min(rows, 2 * screened - need + 1 if screened else need)
-        grid[screened: stop] = _screen_windows(buf.samples, n, screened, stop)
+        grid[screened: stop] = _screen_windows(samples, n, screened, stop)
         screened = stop
         # the runs starting in rows row to screened - need, from passing counts over need rows
         runs = np.zeros((screened - row + 1, n), dtype=np.intp)
-        np.cumsum(grid[row: screened], axis=0, out=runs[1:])
+        grid[row: screened].cumsum(axis=0, out=runs[1:])
         qualifies = (runs[need:] - runs[:-need]) == need
-        for i in np.flatnonzero(qualifies.any(axis=1)):
-            candidates = (row + i) * n + np.flatnonzero(qualifies[i])
+        for i in qualifies.any(axis=1).nonzero()[0]:
+            candidates = (row + i) * n + qualifies[i].nonzero()[0]
             for lo in range(0, len(candidates), block):
                 starts = candidates[lo: lo + block]
-                run_windows = buf.samples[starts[:, None] + span].reshape(-1, n)
+                run_windows = samples[starts[:, None] + span].reshape(-1, n)
                 bins, _, _, ratios = _peak_and_floor(_window_spectra(run_windows, params))
                 hit = (bins == 0) & (ratios >= PREAMBLE_PEAK_RATIO)
                 complete = hit.reshape(len(starts), need).all(axis=1)
-                if complete.any():
-                    return int(starts[complete.argmax()])
+                first = complete.argmax()
+                if complete[first]:
+                    return int(starts[first])
         row += len(qualifies)
     raise PreambleNotFoundError("no preamble run found above the peak-ratio threshold")
 

@@ -54,9 +54,8 @@ def read_sidecar(path) -> dict:
     meta = {}
     try:
         with open(meta_path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
+            for lineno, line in enumerate(map(str.strip, handle), 1):
+                if not line or line[0] == "#":
                     continue
                 if "=" not in line:
                     raise IqFormatError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
@@ -69,7 +68,7 @@ def read_sidecar(path) -> dict:
     except UnicodeDecodeError:
         raise IqFormatError(f"{meta_path}: not UTF-8 text") from None
     for key, supported in (("format", FORMAT_VERSION), ("beta_table", BETA_TABLE_VERSION)):
-        if meta.get(key, supported) != supported:
+        if key in meta and meta[key] != supported:
             raise IqFormatError(f"{meta_path}: {key}={meta[key]} is not the supported {supported}")
     for key, (parse, possible) in _SIDECAR_VALUES.items():
         if key not in meta:
@@ -95,10 +94,10 @@ def read_iq(path, sample_rate: float) -> IqBuffer:
             if size % 8 != 0:
                 raise IqFormatError(f"{path}: size is not a multiple of 8 bytes (float32 I/Q pairs)")
             samples = np.empty(size // 8, dtype=np.complex128)
-            for lo in range(0, len(samples), _BLOCK_SAMPLES):
+            for lo in range(0, samples.size, _BLOCK_SAMPLES):
                 part = samples[lo: lo + _BLOCK_SAMPLES]
-                piece = handle.read(8 * len(part))
-                if len(piece) != 8 * len(part):
+                piece = handle.read(8 * part.size)
+                if len(piece) != 8 * part.size:
                     raise IqFormatError(f"{path}: ended before the {size} bytes it reported")
                 part[...] = np.frombuffer(piece, dtype="<c8")
             if handle.read(1):

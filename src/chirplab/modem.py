@@ -48,15 +48,22 @@ def modulate(symbols, params: LoraParams, rf: ReductionFactor) -> IqBuffer:
     return IqBuffer(rows.reshape(-1), params.bw)
 
 
+@lru_cache(maxsize=None)
+def _downchirp(n: int, m: int) -> np.ndarray:
+    """The leading m samples of the base downchirp conj(_base_ramp(n)), read-only: the dechirp of _window_spectra."""
+    down = np.conj(_base_ramp(n)[:m])
+    down.setflags(write=False)
+    return down
+
+
 def _window_spectra(windows: np.ndarray, params: LoraParams) -> np.ndarray:
     """The one dechirp-and-transform, for a (count, m) block of symbol windows, m <= n.
 
     Each row times the leading m base-downchirp samples, zero-padded to n:
     the (count, n) transform magnitudes.
     """
-    m = windows.shape[1]
-    down = np.conj(_base_ramp(params.n)[:m])
-    return np.abs(np.fft.fft(windows * down[None, :], n=params.n, axis=1))
+    n = params.n
+    return np.abs(np.fft.fft(windows * _downchirp(n, windows.shape[1]), n=n, axis=1))
 
 
 # No caller in src/: it stays only because perfbench/tracer.py wraps montecarlo.decide_symbols (ROADMAP item 8).
@@ -79,12 +86,15 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     whole row: one partition, with no masked copy. The ratio is the peak over
     the floor clamped at NOISE_FLOOR_MIN.
     """
-    n = mags.shape[1]
-    # argmax takes the lowest bin on ties
+    count, n = mags.shape
+    # argmax takes the lowest bin on ties; the value there is the row maximum, NaN where the row holds one
     bins = mags.argmax(axis=1)
-    peaks = mags.max(axis=1)
+    peaks = mags[np.arange(count), bins]
     mid = (n - 2) // 2
-    floors = np.partition(mags, mid, axis=1)[:, mid]
+    # np.partition's own copy-then-partition; mags itself stays as it is
+    part = mags.copy()
+    part.partition(mid, axis=1)
+    floors = part[:, mid]
     return bins, peaks, floors, peaks / np.maximum(floors, NOISE_FLOOR_MIN)
 
 
@@ -105,15 +115,19 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
             f"buffer has {len(buf)} samples, need {count * m} for {count} symbols at beta={rf.beta}"
         )
     windows = buf.samples[: count * m].reshape(count, m)
-    finite = np.isfinite(windows).all(axis=1)
+    finite = np.isfinite(windows)
     if not finite.all():
-        raise ValueError(f"symbol window {finite.argmin()} of {count} holds a non-finite sample")
-    symbols = np.empty(count, dtype=np.intp)
-    peaks, floors, ratios = np.empty(count), np.empty(count), np.empty(count)
+        raise ValueError(f"symbol window {finite.all(axis=1).argmin()} of {count} holds a non-finite sample")
     block = max(1, _BLOCK_SAMPLES // params.n)
-    for lo in range(0, count, block):
-        rows = slice(lo, lo + block)
-        symbols[rows], peaks[rows], floors[rows], ratios[rows] = _peak_and_floor(_window_spectra(windows[rows], params))
+    if count <= block:  # one block, a frame's header or payload: its columns are the record's
+        symbols, peaks, floors, ratios = _peak_and_floor(_window_spectra(windows, params))
+    else:
+        symbols = np.empty(count, dtype=np.intp)
+        peaks, floors, ratios = np.empty(count), np.empty(count), np.empty(count)
+        for lo in range(0, count, block):
+            rows = slice(lo, lo + block)
+            symbols[rows], peaks[rows], floors[rows], ratios[rows] = \
+                _peak_and_floor(_window_spectra(windows[rows], params))
     # the peak is a row maximum, so only a peak under the clamp reads below 1: 0 dB, not -inf
     return DemodResult(symbols, peaks, floors, 20.0 * np.log10(np.maximum(ratios, 1.0)))
 

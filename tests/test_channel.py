@@ -100,20 +100,55 @@ class TestSnrEstimate:
         with pytest.raises(ValueError):
             snr_estimate(record([]))
 
-    @pytest.mark.parametrize("count", [1, 2, 7, 20])
+    @staticmethod
+    def assert_median(values):
+        # the same bits as np.median, the sign of a zero included; a NaN compares as NaN
+        got = snr_estimate(record(values))
+        want = float(np.median(values))
+        assert type(got) is float
+        assert (np.isnan(got) and np.isnan(want)) or np.float64(got).tobytes() == np.float64(want).tobytes(), \
+            (list(values), got, want)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 20, 64])
     def test_equals_numpy_median(self, count):
         rng = np.random.default_rng(count)
-        for spoil in (None, np.inf, np.nan):
+        for spoil in (None, np.inf, -np.inf, np.nan):
             values = rng.exponential(10.0, count)
             if spoil is not None:
                 values[rng.integers(0, count)] = spoil
-            got = snr_estimate(record(values))
-            want = float(np.median(values))
-            assert type(got) is float
-            if spoil is np.nan:
-                assert np.isnan(got)
-            else:
-                assert got == want
+            self.assert_median(values)
+
+    @pytest.mark.parametrize("count", [2, 3, 4, 64])
+    def test_equals_numpy_median_where_a_sort_can_differ(self, count):
+        rng = np.random.default_rng(100 + count)
+        for _ in range(20):
+            # few distinct values, so the middles are tied or distinct by turns
+            self.assert_median(rng.integers(-2, 3, count).astype(float))
+            # zeros of both signs: which one lands in the middle is the partition's choice
+            self.assert_median(rng.choice([-0.0, 0.0], count))
+            self.assert_median(rng.choice([-0.0, 0.0, 1.0, -1.0], count))
+            # infinities, and +inf beside NaN
+            self.assert_median(rng.choice([-np.inf, -1.0, 0.0, 2.5], count))
+            self.assert_median(rng.choice([np.inf, np.nan, 3.0], count))
+
+    def test_equals_numpy_median_on_opposite_infinite_middles(self):
+        values = np.array([-np.inf, np.inf, -np.inf, np.inf])
+        with np.errstate(invalid="ignore"):  # both take the mean of -inf and +inf
+            self.assert_median(values)
+            self.assert_median(values[:2])
+
+    @pytest.mark.parametrize("values, want", [
+        # np.median's reduction adds to +0.0, so even a lone -0.0 reads +0.0
+        ([1.0, 4.0], 2.5), ([1.0, 2.0, 2.0, 9.0], 2.0), ([-0.0, 0.0], 0.0), ([-0.0, -0.0], 0.0), ([-0.0], 0.0),
+        ([3.0, -np.inf, 5.0], 3.0), ([-np.inf, -np.inf, 1.0], -np.inf), ([np.inf, np.inf, 0.0, 1.0], np.inf),
+    ])
+    def test_median_values(self, values, want):
+        got = snr_estimate(record(values))
+        assert got == want and np.signbit(got) == np.signbit(want)
+
+    @pytest.mark.parametrize("values", [[np.inf, np.nan], [np.nan, 1.0, 2.0], [5.0, np.nan, np.inf, -np.inf]])
+    def test_nan_beside_anything_gives_nan(self, values):
+        assert np.isnan(snr_estimate(record(values)))
 
     def test_noiseless_frame_estimate_is_large(self):
         symbols = np.arange(0, 128, 7)

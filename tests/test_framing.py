@@ -188,16 +188,18 @@ class TestScreenWindows:
         bound = framing.SCREEN_ENERGY_FRACTION * max(1.0, 2.0 / (1.0 + framing.PREAMBLE_PEAK_RATIO ** -2))
         counts = np.zeros(4, dtype=int)  # windows: passing, usable, decided, unusable
         for scale in (1e-3, 1.0, 1e3):
-            for bad in (np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)):
-                # noise with a run of upchirps, cut off inside a symbol, one or two non-finite samples
+            for bad in (None, np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)):
+                # noise with a run of upchirps, cut off inside a symbol, one or two non-finite samples; with
+                # none, the blocks read end before the buffer does, so the screen takes them as they are
                 size = int(rng.integers(4 * n, 9 * n))
                 samples = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
                 start = int(rng.integers(0, size - 3 * n))
                 samples[start: start + 3 * n] += 3 * scale * np.tile(framing._base_ramp(n), 3)
-                samples[rng.integers(0, size, int(rng.integers(1, 3)))] = bad
                 rows = size // n
-                first = int(rng.integers(0, rows))
-                stop = int(rng.integers(first + 1, rows + 1))
+                if bad is not None:
+                    samples[rng.integers(0, size, int(rng.integers(1, 3)))] = bad
+                first = int(rng.integers(0, rows - (bad is None)))
+                stop = int(rng.integers(first + 1, rows + (bad is not None)))
                 grid = framing._screen_windows(samples, n, first, stop)
                 corr2, energy = screen_statistics(samples, n, first, stop)
                 unusable = np.isnan(energy)
