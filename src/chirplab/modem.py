@@ -94,7 +94,7 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # np.partition's own copy-then-partition; mags itself stays as it is
     part = mags.copy()
     part.partition(mid, axis=1)
-    floors = part[:, mid]
+    floors = part[:, mid].copy()  # a column of its own: a record keeps count floors, not the whole block
     return bins, peaks, floors, peaks / np.maximum(floors, NOISE_FLOOR_MIN)
 
 
