@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .chirps import BANDWIDTHS_HZ, BETA_TABLE, LoraParams, ReductionFactor, check_distinct, check_integer
+from .experiments import _write_rows
 from .montecarlo import STREAM_VERSION, snr_grid, symbol_error_rate, union_bound_ser
 
 DEFAULT_TARGET_SER = 1e-3
@@ -69,11 +70,9 @@ class ThresholdTable:
         _check_non_increasing(((beta, sf, req) for (sf, beta), req in self.entries.items()), "sf", "beta")
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(TABLE_CSV_COLUMNS)
-            for (sf, beta), req in sorted(self.entries.items()):
-                writer.writerow([sf, beta, req, self.target_ser, self.trials, self.seed, STREAM_VERSION])
+        rows = ((sf, beta, req, self.target_ser, self.trials, self.seed, STREAM_VERSION)
+                for (sf, beta), req in sorted(self.entries.items()))
+        _write_rows(path, TABLE_CSV_COLUMNS, rows)
 
     @classmethod
     def read_csv(cls, path) -> "ThresholdTable":
@@ -143,7 +142,10 @@ class LinkHistory:
 
     def __post_init__(self):
         self.capacity = check_integer("link history capacity", self.capacity, 1)
-        self.recent_snrs = deque(maxlen=self.capacity)
+        try:
+            self.recent_snrs = deque(maxlen=self.capacity)
+        except OverflowError:
+            raise ValueError(f"link history capacity {self.capacity} is too large for a window") from None
 
     def min_snr_db(self) -> float:
         if not self.recent_snrs:

@@ -124,14 +124,19 @@ def _base_ramp(n: int) -> np.ndarray:
 def _symbol_values(symbols, n: int) -> np.ndarray:
     """The symbols as an int64 array: the one symbol rule, which modem.modulate and FrameSpec apply."""
     values = np.asarray(symbols)
-    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, which the comparison rejects
-        symbols = values.astype(np.int64)
-    if not np.array_equal(symbols, values):
-        raise ValueError("symbols must be integers")
-    outside = (symbols < 0) | (symbols >= n)
+    if values.dtype.kind not in "bi":  # floats, and integers int64 may not hold: judged as Python numbers
+        values = np.asarray(symbols, dtype=object)
+        try:
+            with np.errstate(invalid="ignore"):  # NaN and inf leave NaN, which is not 0
+                integral = (values % 1 == 0).all()
+        except TypeError:  # not a real number: a string, None, a complex value
+            integral = False
+        if not integral:
+            raise ValueError("symbols must be integers")
+    outside = (values < 0) | (values >= n)
     if outside.any():
-        raise ValueError(f"symbol {symbols[outside.argmax()]} outside [0, {n})")
-    return symbols
+        raise ValueError(f"symbol {int(values[outside.argmax()])} outside [0, {n})")
+    return values.astype(np.int64)
 
 
 def instantaneous_frequency(buf: IqBuffer) -> np.ndarray:

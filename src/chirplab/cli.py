@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 flag errors (argparse), 3 malformed file,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from . import adaptive, channel, framing, iqfile, modem
@@ -20,7 +19,7 @@ from .chirps import (
     check_integer,
     instantaneous_frequency,
 )
-from .experiments import ExperimentConfig, run_ber_sweep, run_peak_experiment
+from .experiments import ExperimentConfig, _write_rows, run_ber_sweep, run_peak_experiment
 
 EXIT_BAD_FILE = 3
 EXIT_LENGTH_MISMATCH = 4
@@ -53,10 +52,7 @@ def _parse_list(text: str, kind) -> tuple:
 
 def _write_freq_csv(path, buf: IqBuffer):
     freqs = instantaneous_frequency(buf)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("sample", "freq_hz"))
-        writer.writerows((idx, float(f)) for idx, f in enumerate(freqs))
+    _write_rows(path, ("sample", "freq_hz"), ((idx, float(f)) for idx, f in enumerate(freqs)))
 
 
 def cmd_chirp(args) -> int:
@@ -109,7 +105,7 @@ def cmd_demod(args) -> int:
 def cmd_toa(args) -> int:
     params = _params(args)
     rf = ReductionFactor(args.beta)
-    payload = (0,) * check_integer("--ns", args.ns, 0)
+    payload = (0,) * framing.check_payload_length(check_integer("--ns", args.ns, 0), params.n)
     spec = framing.FrameSpec(payload=payload, rf=rf, preamble_len=args.preamble_len)
     report = framing.time_on_air(spec, params)
     for key in ("preamble_s", "header_s", "payload_s", "total_s", "saving_s", "effective_symbol_rate"):

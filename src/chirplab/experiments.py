@@ -44,6 +44,7 @@ class ExperimentConfig:
 
 
 def _write_rows(path, columns, rows):
+    """The one CSV writer: a header row of columns, then rows; cli and adaptive write through it too."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(columns)

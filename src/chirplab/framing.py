@@ -58,6 +58,13 @@ class UnknownBetaIndexError(Exception):
     """Header beta-index symbol is outside the defined code table."""
 
 
+def check_payload_length(length: int, n: int) -> int:
+    """The length rule: length, or ValueError unless the header's length symbol, in [0, n), can carry it."""
+    if length >= n:
+        raise ValueError(f"payload of {length} symbols does not fit a length symbol (< {n})")
+    return length
+
+
 @dataclass(frozen=True)
 class FrameSpec:
     """Payload symbols plus the framing parameters that wrap them."""
@@ -73,9 +80,7 @@ class FrameSpec:
     def header_symbols(self, params: LoraParams) -> tuple[int, int, int]:
         """(length, beta index, checksum), all in [0, n); ValueError for a payload build_frame cannot send."""
         n = params.n
-        length = len(self.payload)
-        if length >= n:
-            raise ValueError(f"payload of {length} symbols does not fit a length symbol (< {n})")
+        length = check_payload_length(len(self.payload), n)
         _symbol_values(self.payload, n)
         return length, self.rf.index, (length + self.rf.index) % n
 

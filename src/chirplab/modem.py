@@ -132,21 +132,7 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
     return DemodResult(symbols, peaks, floors, 20.0 * np.log10(np.maximum(ratios, 1.0)))
 
 
-@lru_cache(maxsize=None)
-def _popcounts(n: int) -> np.ndarray:
-    """Number of set bits of each value in [0, n), n a power of two."""
-    table = np.zeros(n, dtype=np.int64)
-    width = 1
-    while width < n:
-        # the values in [width, 2 width) are those below width plus one high bit
-        table[width: 2 * width] = table[:width] + 1
-        width *= 2
-    table.setflags(write=False)
-    return table
-
-
 def bit_errors(sent, received, sf: int) -> int:
     """Number of differing natural-binary bits, the low sf of each symbol, between two symbol sequences."""
-    n = 1 << sf
     diff = np.asarray(sent, dtype=np.int64) ^ np.asarray(received, dtype=np.int64)
-    return int(_popcounts(n)[diff & (n - 1)].sum())
+    return int(np.bitwise_count(diff & ((1 << sf) - 1)).sum())

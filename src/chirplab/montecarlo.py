@@ -126,15 +126,7 @@ def _truncated_trials(rng: np.random.Generator, n: int, m: int, scales, trials: 
     NumPy calls release the GIL). An error in a draw is raised here, and
     closing the generator stops the worker.
 
-    With two or more scales, the scoring is screened (see the module
-    docstring): per chunk, w is each trial's largest |W_k| over the far slice
-    _NEAR + 1 .. n - _NEAR - 1; per scale, the near bins 0 .. _NEAR and
-    n - _NEAR .. n - 1 are scored as the full row scores them, and a trial is
-    settled when sigma * w + max over the far slice of |S_k| is below its best
-    near magnitude times _SCREEN_MARGIN = 1 - 1e-9. Every other trial, and
-    trial 0 of the first chunk, gets the full row. With one scale every
-    trial gets the full row: w costs about one scale's full scoring, so the
-    screen pays only when several scales share it.
+    The scoring is screened as the module docstring describes.
     """
     tone = np.fft.fft(np.ones(m), n=n)
     screen = len(scales) > 1
@@ -272,14 +264,17 @@ def peak_statistics(params: LoraParams, rf: ReductionFactor, snrs_db, trials: in
 
 # Analytic union bound on the SER. It shares no code with the trial engine, which the tests
 # check against it; calibration only uses it to predict where to search.
-def _half_turn(points: int = 513):
-    """Nodes on [0, pi] and trapezoid weights that average over them.
+_HALF_TURN_POINTS = 513
+
+
+def _half_turn():
+    """_HALF_TURN_POINTS nodes on [0, pi] and trapezoid weights that average over them.
 
     The trapezoid rule is spectrally accurate for a smooth periodic integrand,
     and every integrand here is a smooth even function of cos t.
     """
-    t = np.linspace(0.0, np.pi, points)
-    weights = np.full(points, 1.0 / (points - 1))
+    t = np.linspace(0.0, np.pi, _HALF_TURN_POINTS)
+    weights = np.full(_HALF_TURN_POINTS, 1.0 / (_HALF_TURN_POINTS - 1))
     weights[[0, -1]] /= 2
     return t, weights
 

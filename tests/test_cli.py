@@ -538,6 +538,10 @@ MALFORMED_ARGV = [
     ("mod --sf 7 --payload 200 --out {d}/x.cf32", 1),
     ("mod --sf 7 --payload 0xzz --out {d}/x.cf32", 1),
     ("mod --sf seven --payload 1 --out {d}/x.cf32", 2),
+    ("mod --sf 7 --payload 18446744073709551616 --out {d}/x.cf32", 1),
+    ("mod --sf 7 --payload -99999999999999999999999 --out {d}/x.cf32", 1),
+    ("chirp --sf 7 --symbol 99999999999999999999999 --out {d}/x.cf32", 1),
+    ("frame-encode --sf 7 --payload 9223372036854775808 --out {d}/x.cf32", 1),
     ("demod --in {d}/absent.cf32", 3),
     ("demod --in {d}/cf64.cf32", 3),
     ("demod --in {d}/ragged.cf32", 4),
@@ -553,6 +557,7 @@ MALFORMED_ARGV = [
     ("toa --sf 7 --ns 1 --preamble-len 0", 1),
     ("toa --sf 7 --ns 200", 1),
     ("toa --sf 7", 2),
+    ("toa --sf 7 --ns 100000000000000000000", 1),
     ("frame-encode --sf 7 --payload 1 --preamble-len 0 --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr nan --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr 0 --seed -1 --out {d}/x.cf32", 1),
@@ -626,6 +631,7 @@ MALFORMED_ARGV = [
     ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --margin-db nan", 1),
     ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --aggressive", 2),
     ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --marg 0", 2),
+    ("select --table {d}/good.csv --in {d}/history.txt --sf 7 --capacity 100000000000000000000", 1),
 ]
 
 
@@ -640,6 +646,18 @@ def test_malformed_input_exits_with_documented_code(malformed_inputs, capsys, ar
     assert got == code
     assert any(line.startswith("error:") or ": error:" in line for line in err.splitlines())
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, symbol", [
+    (("mod", "--payload", "18446744073709551616"), 18446744073709551616),
+    (("mod", "--payload", "5 -99999999999999999999999"), -99999999999999999999999),
+    (("chirp", "--symbol", "99999999999999999999999"), 99999999999999999999999),
+    (("frame-encode", "--payload", "9223372036854775808"), 9223372036854775808),
+    (("frame-encode", "--payload", "5 9223372036854775809"), 9223372036854775809),
+])
+def test_symbol_beyond_int64_gets_the_range_message(tmp_path, capsys, argv, symbol):
+    code, _, err = run(capsys, *argv, "--sf", 7, "--out", tmp_path / "x.cf32")
+    assert (code, err) == (1, f"error: symbol {symbol} outside [0, 128)\n")
 
 
 @pytest.mark.parametrize("argv, window", [("frame-decode --in {d}/inf_payload.cf32", "2 of 3"),

@@ -53,7 +53,7 @@ class TestModulate:
         second = chirp(70, rf).samples
         np.testing.assert_array_equal(buf.samples, np.concatenate([first, second]))
 
-    @pytest.mark.parametrize("bad", [[7.9], [5, 3.2], [np.nan], [np.inf]])
+    @pytest.mark.parametrize("bad", [[7.9], [5, 3.2], [np.nan], [np.inf], ["7"], [None], [1 + 0j]])
     def test_rejects_non_integral_symbols(self, bad):
         with pytest.raises(ValueError, match="symbols must be integers"):
             modulate(bad, SF7, ReductionFactor(1.0))
@@ -322,9 +322,12 @@ class TestBitMapping:
         assert bit_errors([0b0000000], [0b1010001], 7) == 3
         assert bit_errors([5, 9, 77], [5, 9, 77], 7) == 0
 
-    @pytest.mark.parametrize("sf", [7, 12])
+    @pytest.mark.parametrize("sf", range(7, 13))
     def test_bit_errors_match_bit_expansion(self, sf):
         rng = np.random.default_rng(sf)
         sent, received = rng.integers(0, 1 << sf, (2, 5000))
         expected = int((symbols_to_bits(sent, sf) != symbols_to_bits(received, sf)).sum())
         assert bit_errors(sent, received, sf) == expected
+        # only the low sf bits count, as symbols_to_bits reads only those
+        high = rng.integers(1, 1 << (62 - sf), 5000) << sf
+        assert bit_errors(sent, received | high, sf) == expected
