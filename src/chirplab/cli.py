@@ -28,6 +28,7 @@ EXIT_UNKNOWN_BETA = 6
 EXIT_NO_PREAMBLE = 7
 EXIT_CALIBRATION = 8
 
+# the first entry an error is an instance of gives its code; LengthMismatchError is a ValueError
 _EXIT_BY_ERROR = (
     (iqfile.IqFormatError, EXIT_BAD_FILE),
     (modem.LengthMismatchError, EXIT_LENGTH_MISMATCH),
@@ -35,11 +36,14 @@ _EXIT_BY_ERROR = (
     (framing.UnknownBetaIndexError, EXIT_UNKNOWN_BETA),
     (framing.PreambleNotFoundError, EXIT_NO_PREAMBLE),
     (adaptive.CalibrationError, EXIT_CALIBRATION),
+    (ValueError, 1),
+    (OSError, 1),
 )
 
 
-def _params(args) -> LoraParams:
-    return LoraParams(sf=args.sf, bw=args.bw)
+def _params(args) -> tuple[LoraParams, ReductionFactor]:
+    """The waveform parameters of _add_params_flags, sf checked before beta."""
+    return LoraParams(sf=args.sf, bw=args.bw), ReductionFactor(args.beta)
 
 
 def _parse_payload(text: str) -> list[int]:
@@ -50,29 +54,25 @@ def _parse_list(text: str, kind) -> tuple:
     return tuple(kind(tok) for tok in text.split(",") if tok)
 
 
-def _write_freq_csv(path, buf: IqBuffer):
-    freqs = instantaneous_frequency(buf)
-    _write_rows(path, ("sample", "freq_hz"), ((idx, float(f)) for idx, f in enumerate(freqs)))
+def _write_symbols(out, params: LoraParams, rf: ReductionFactor, symbols, freq_path: str, down=False):
+    """The one writer of mod and chirp: the capture (conjugated if down), its sidecar, then any frequency CSV."""
+    buf = modem.modulate(symbols, params, rf)
+    if down:
+        buf = IqBuffer(buf.samples.conj(), buf.sample_rate)
+    iqfile.write_iq(out, buf, {"sf": params.sf, "bw": params.bw, "beta": rf.beta})
+    if freq_path:
+        freqs = instantaneous_frequency(buf)
+        _write_rows(freq_path, ("sample", "freq_hz"), ((idx, float(f)) for idx, f in enumerate(freqs)))
 
 
 def cmd_chirp(args) -> int:
-    params = _params(args)
-    rf = ReductionFactor(args.beta)
-    buf = modem.modulate([args.symbol], params, rf)
-    if args.down:
-        buf = IqBuffer(buf.samples.conj(), buf.sample_rate)
-    iqfile.write_iq(args.out, buf, {"sf": params.sf, "bw": params.bw, "beta": rf.beta})
-    _write_freq_csv(str(args.out) + ".freq.csv", buf)
+    _write_symbols(args.out, *_params(args), [args.symbol], f"{args.out}.freq.csv", args.down)
     return 0
 
 
 def cmd_mod(args) -> int:
-    params = _params(args)
-    rf = ReductionFactor(args.beta)
-    buf = modem.modulate(_parse_payload(args.payload), params, rf)
-    iqfile.write_iq(args.out, buf, {"sf": params.sf, "bw": params.bw, "beta": rf.beta})
-    if args.freq_out:
-        _write_freq_csv(args.freq_out, buf)
+    params, rf = _params(args)
+    _write_symbols(args.out, params, rf, _parse_payload(args.payload), args.freq_out)
     return 0
 
 
@@ -103,8 +103,7 @@ def cmd_demod(args) -> int:
 
 
 def cmd_toa(args) -> int:
-    params = _params(args)
-    rf = ReductionFactor(args.beta)
+    params, rf = _params(args)
     payload = (0,) * framing.check_payload_length(check_integer("--ns", args.ns, 0), params.n)
     spec = framing.FrameSpec(payload=payload, rf=rf, preamble_len=args.preamble_len)
     report = framing.time_on_air(spec, params)
@@ -116,8 +115,7 @@ def cmd_toa(args) -> int:
 
 
 def cmd_frame_encode(args) -> int:
-    params = _params(args)
-    rf = ReductionFactor(args.beta)
+    params, rf = _params(args)
     spec = framing.FrameSpec(payload=_parse_payload(args.payload), rf=rf, preamble_len=args.preamble_len)
     buf = framing.build_frame(spec, params)
     if args.snr is not None:
@@ -193,8 +191,10 @@ def cmd_select(args) -> int:
 
 
 def _add_params_flags(sub):
+    """The waveform flags of chirp, mod, toa and frame-encode; _params reads them."""
     sub.add_argument("--sf", type=int, required=True, help="spreading factor (7..12)")
     sub.add_argument("--bw", type=float, default=BANDWIDTHS_HZ[0], help="bandwidth in Hz")
+    sub.add_argument("--beta", type=float, default=1.0, help="reduction factor")
 
 
 def _add_grid_flags(sub, trials: int):
@@ -222,13 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_flags(sub)
     sub.add_argument("--down", action="store_true", help="conjugate of the symbol's chirp (at 0, the base downchirp)")
     sub.add_argument("--symbol", type=int, default=0, help="cyclic shift (symbol value)")
-    sub.add_argument("--beta", type=float, default=1.0, help="reduction factor")
     sub.add_argument("--out", required=True)
     sub.set_defaults(handler=cmd_chirp)
 
     sub = commands.add_parser("mod", allow_abbrev=False, help="modulate symbols to an IQ capture")
     _add_params_flags(sub)
-    sub.add_argument("--beta", type=float, default=1.0)
     sub.add_argument("--payload", required=True, help="space-separated symbol values (decimal or 0x hex)")
     sub.add_argument("--out", required=True)
     sub.add_argument("--freq-out", default="", help="also dump the frequency trajectory CSV")
@@ -241,14 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("toa", allow_abbrev=False, help="airtime report for a frame shape")
     _add_params_flags(sub)
-    sub.add_argument("--beta", type=float, default=1.0)
     sub.add_argument("--ns", type=int, required=True, help="payload symbol count")
     sub.add_argument("--preamble-len", type=int, default=framing.DEFAULT_PREAMBLE_LEN)
     sub.set_defaults(handler=cmd_toa)
 
     sub = commands.add_parser("frame-encode", allow_abbrev=False, help="build a frame IQ capture")
     _add_params_flags(sub)
-    sub.add_argument("--beta", type=float, default=1.0)
     sub.add_argument("--payload", required=True)
     sub.add_argument("--preamble-len", type=int, default=framing.DEFAULT_PREAMBLE_LEN)
     sub.add_argument("--snr", type=float, default=None, help="impair with AWGN at this SNR before writing")
@@ -294,9 +290,6 @@ def main(argv=None) -> int:
     except tuple(err for err, _ in _EXIT_BY_ERROR) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for err, code in _EXIT_BY_ERROR if isinstance(exc, err))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def entrypoint():

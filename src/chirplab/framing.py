@@ -30,6 +30,8 @@ from .chirps import (
 from .modem import DemodResult, _peak_and_floor, _window_spectra, demodulate, modulate
 
 DEFAULT_PREAMBLE_LEN = 8
+# The preamble lengths a frame may have: those of the 16-bit preamble length that LoRa transceivers carry.
+PREAMBLE_LENS = range(1, 1 << 16)
 # Minimum peak-over-floor ratio for a window to count as a preamble hit;
 # the max/median ratio of pure-noise spectra stays well below this.
 PREAMBLE_PEAK_RATIO = 4.0
@@ -58,6 +60,14 @@ class UnknownBetaIndexError(Exception):
     """Header beta-index symbol is outside the defined code table."""
 
 
+def check_preamble_len(preamble_len) -> int:
+    """The preamble rule: preamble_len as an int; ValueError unless it is an integer in PREAMBLE_LENS."""
+    preamble_len = check_integer("preamble_len", preamble_len, PREAMBLE_LENS.start)
+    if preamble_len not in PREAMBLE_LENS:
+        raise ValueError(f"preamble_len must be <= {PREAMBLE_LENS[-1]}, got {preamble_len}")
+    return preamble_len
+
+
 def check_payload_length(length: int, n: int) -> int:
     """The length rule: length, or ValueError unless the header's length symbol, in [0, n), can carry it."""
     if length >= n:
@@ -75,7 +85,7 @@ class FrameSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "payload", tuple(self.payload))
-        check_integer("preamble_len", self.preamble_len, 1)
+        check_preamble_len(self.preamble_len)
 
     def header_symbols(self, params: LoraParams) -> tuple[int, int, int]:
         """(length, beta index, checksum), all in [0, n); ValueError for a payload build_frame cannot send."""
@@ -197,7 +207,7 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
     alignments.
     """
     n = params.n
-    need = max(1, check_integer("preamble_len", preamble_len, 1) - 1)
+    need = max(1, check_preamble_len(preamble_len) - 1)
     samples = buf.samples
     if len(samples) < need * n:
         raise PreambleNotFoundError(f"buffer shorter than the {need} symbols of a preamble run")
@@ -238,7 +248,7 @@ def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
                  preamble_len: int = DEFAULT_PREAMBLE_LEN) -> tuple[list[int], ReductionFactor, FrameDiagnostics]:
     """Decode header and payload of a frame whose preamble starts at offset, an integer >= 0."""
     n = params.n
-    offset, preamble_len = check_integer("offset", offset, 0), check_integer("preamble_len", preamble_len, 1)
+    offset, preamble_len = check_integer("offset", offset, 0), check_preamble_len(preamble_len)
     header_start = offset + _preamble_samples(preamble_len, n)
     header = demodulate(IqBuffer(buf.samples[header_start:], params.bw), params, FULL_PERIOD, 3)
     length_sym, beta_sym, checksum_sym = header.symbols.tolist()

@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 from .chirps import _BLOCK_SAMPLES, BANDWIDTHS_HZ, BETA_TABLE, SPREADING_FACTORS, IqBuffer
+from .framing import PREAMBLE_LENS
 
 SIDECAR_SUFFIX = ".meta"
 FORMAT_VERSION = "cf32.v1"
@@ -22,7 +23,7 @@ _SIDECAR_VALUES = {
     "sf": (int, SPREADING_FACTORS.__contains__),
     "bw": (float, BANDWIDTHS_HZ.__contains__),
     "beta": (float, BETA_TABLE.__contains__),
-    "preamble_len": (int, lambda value: value >= 1),
+    "preamble_len": (int, PREAMBLE_LENS.__contains__),
 }
 
 

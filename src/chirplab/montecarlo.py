@@ -74,17 +74,28 @@ _FULL_PERIOD_CHUNK = 1 << 13
 # which a trial's near peak must top the far bins' bound, which covers the rounding of both
 _NEAR = 8
 _SCREEN_MARGIN = 1.0 - 1e-9
+# the most points an SNR grid may hold, over a hundred times calibration's 71-point search grid
+MAX_SNR_POINTS = 10 ** 4
 
 
 def snr_grid(start_db: float, stop_db: float, step_db: float) -> list[float]:
     """The SNR points start + k * step, k = 0, 1, ..., up to stop with 1e-9 dB of slack.
 
-    Sweeps and calibration share this grid. Raises ValueError unless all
-    three values are finite, step > 0 and stop >= start.
+    Sweeps and calibration share this grid. Raises ValueError, before any
+    point is built, unless all three values are finite, step > 0, stop >=
+    start, the grid holds at most MAX_SNR_POINTS points and step tops four
+    ulps of the grid's largest magnitude: k * step and start + k * step each
+    round by at most one, so such a step keeps neighbouring points apart.
     """
     if not (all(map(math.isfinite, (start_db, stop_db, step_db))) and step_db > 0 and stop_db >= start_db):
         raise ValueError(f"an SNR grid needs finite values with step > 0 and stop >= start, "
                          f"got start {start_db}, stop {stop_db}, step {step_db}")
+    if (stop_db - start_db + 1e-9) / step_db >= MAX_SNR_POINTS:
+        raise ValueError(f"an SNR grid holds at most {MAX_SNR_POINTS} points, "
+                         f"got start {start_db}, stop {stop_db}, step {step_db}")
+    if step_db <= 4 * math.ulp(max(abs(start_db), abs(stop_db)) + 1e-9):
+        raise ValueError(f"SNR step {step_db} is too small to keep the points from {start_db} to {stop_db} "
+                         f"apart as floats")
     points = []
     while (snr_db := start_db + len(points) * step_db) <= stop_db + 1e-9:
         points.append(snr_db)

@@ -12,7 +12,7 @@ import pytest
 
 from chirplab import cli, experiments, iqfile
 from chirplab.adaptive import TABLE_CSV_COLUMNS
-from chirplab.chirps import _BLOCK_SAMPLES, FULL_PERIOD, IqBuffer, LoraParams, ReductionFactor
+from chirplab.chirps import _BLOCK_SAMPLES, FULL_PERIOD, IqBuffer, LoraParams, ReductionFactor, instantaneous_frequency
 from chirplab.framing import FrameSpec, build_frame
 from chirplab.modem import modulate
 from chirplab.montecarlo import STREAM_VERSION
@@ -117,7 +117,8 @@ class TestIqFile:
         assert meta["note"] == "7"
 
     @pytest.mark.parametrize("key, value", [("sf", "abc"), ("sf", "6"), ("bw", "1e3"), ("beta", "0.3"),
-                                            ("beta", "nan"), ("preamble_len", "0")])
+                                            ("beta", "nan"), ("preamble_len", "0"),
+                                            ("preamble_len", "65536")])
     def test_sidecar_value_no_capture_carries(self, tmp_path, key, value):
         path = tmp_path / "bad.cf32"
         iqfile.write_iq(path, IqBuffer(np.zeros(4), SF7.bw), {"sf": 7, "bw": 125000.0, key: value})
@@ -202,13 +203,27 @@ class TestChirpCommand:
         assert len(back) == 128
         assert back.samples[0] == pytest.approx(1 + 0j)
 
+    @pytest.mark.parametrize("down", [True, False], ids=["down", "up"])
+    @pytest.mark.parametrize("sf, beta", [(sf, beta) for sf in (7, 10, 12) for beta in (0.5, 0.875)])
     @pytest.mark.parametrize("k", [0, 5, 127])
-    def test_down_is_the_conjugate_of_the_symbol_chirp(self, tmp_path, capsys, k):
-        path = tmp_path / "down.cf32"
-        code, _, _ = run(capsys, "chirp", "--sf", 7, "--down", "--symbol", k, "--beta", 0.5, "--out", path)
-        assert code == 0
-        want = modulate([k], SF7, ReductionFactor(0.5)).samples.astype(np.complex64).conj()
-        np.testing.assert_array_equal(iqfile.read_iq(path, SF7.bw).samples, want)
+    def test_down_is_the_conjugate_of_the_symbol_chirp(self, tmp_path, capsys, k, sf, beta, down):
+        """chirp is mod of [--symbol]: its capture, sidecar and frequency CSV are mod's, conjugated under --down."""
+        params, chirp, mod = LoraParams(sf=sf, bw=125e3), tmp_path / "chirp.cf32", tmp_path / "mod.cf32"
+        flags = ("--sf", sf, "--beta", beta, "--out")
+        assert run(capsys, "chirp", "--symbol", k, *(["--down"] if down else []), *flags, chirp)[0] == 0
+        assert run(capsys, "mod", "--payload", k, "--freq-out", tmp_path / "mod.csv", *flags, mod)[0] == 0
+        sent = modulate([k], params, ReductionFactor(beta))
+        want = sent.samples.astype(np.complex64)
+        np.testing.assert_array_equal(iqfile.read_iq(mod, params.bw).samples, want)
+        np.testing.assert_array_equal(iqfile.read_iq(chirp, params.bw).samples, want.conj() if down else want)
+        assert Path(iqfile.sidecar_path(chirp)).read_bytes() == Path(iqfile.sidecar_path(mod)).read_bytes()
+        if down:  # the trajectory of the conjugated capture, which mod has no flag for
+            with open(f"{chirp}.freq.csv", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            freqs = instantaneous_frequency(IqBuffer(sent.samples.conj(), params.bw))
+            assert [(int(r["sample"]), float(r["freq_hz"])) for r in rows] == list(enumerate(freqs.tolist()))
+        else:
+            assert Path(f"{chirp}.freq.csv").read_bytes() == (tmp_path / "mod.csv").read_bytes()
 
 
 class TestToa:
@@ -493,7 +508,8 @@ def malformed_inputs(tmp_path_factory):
     (root / "dir.cf32.meta").write_text("sf=7\nbw=125000.0\nbeta=0.5\npreamble_len=8\n")
     # sidecar values that no capture carries, each the only fault of its capture
     iqfile.write_iq(root / "beta_0.3.cf32", symbols, {"sf": 7, "bw": 125000.0, "beta": 0.3})
-    for name, key, value in (("sf_abc", "sf", "abc"), ("bw_1e3", "bw", "1e3"), ("preamble_x", "preamble_len", "x")):
+    for name, key, value in (("sf_abc", "sf", "abc"), ("bw_1e3", "bw", "1e3"), ("preamble_x", "preamble_len", "x"),
+                             ("preamble_100000", "preamble_len", "100000")):
         iqfile.write_iq(root / f"{name}.cf32", frame, {"sf": 7, "bw": 125000.0, "preamble_len": 8, key: value})
     # one sample that is not finite, inside a decoded window: the payload, the header, a bare symbol
     for name, buf, where, bad, meta in (("inf_payload", frame, 1696 + 2 * 64 + 5, np.inf, {"preamble_len": 8}),
@@ -558,7 +574,9 @@ MALFORMED_ARGV = [
     ("toa --sf 7 --ns 200", 1),
     ("toa --sf 7", 2),
     ("toa --sf 7 --ns 100000000000000000000", 1),
+    ("toa --sf 7 --ns 1 --preamble-len 100000000000000000000", 1),
     ("frame-encode --sf 7 --payload 1 --preamble-len 0 --out {d}/x.cf32", 1),
+    ("frame-encode --sf 7 --payload 1 --preamble-len 100000000000000000000 --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr nan --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr 0 --seed -1 --out {d}/x.cf32", 1),
     ("frame-encode --sf 7 --payload 1 --snr -7000 --out {d}/x.cf32", 1),
@@ -572,6 +590,7 @@ MALFORMED_ARGV = [
     ("frame-decode --in {d}/sf_abc.cf32", 3),
     ("frame-decode --in {d}/bw_1e3.cf32", 3),
     ("frame-decode --in {d}/preamble_x.cf32", 3),
+    ("frame-decode --in {d}/preamble_100000.cf32", 3),
     ("frame-decode --in {d}/dir.cf32", 1),
     ("frame-decode --in {d}/inf_payload.cf32", 1),
     ("frame-decode --in {d}/nan_header.cf32", 1),
@@ -586,6 +605,7 @@ MALFORMED_ARGV = [
     ("peak-experiment --betas 0.5,0.5 --out {d}/x.csv", 1),
     ("peak-experiment --sf 7,8,7 --out {d}/x.csv", 1),
     ("peak-experiment --snr 0 --out {d}/x.csv", 2),
+    ("peak-experiment --sf 7 --betas 0.5 --snr-start 0 --snr-stop 1 --snr-step 1e-300 --trials 10 --out {d}/x.csv", 1),
     ("ber-sweep --snr-stop inf --out {d}/x.csv", 1),
     ("ber-sweep --snr-step nan --out {d}/x.csv", 1),
     ("ber-sweep --snr-start 1 --snr-stop 0 --out {d}/x.csv", 1),
@@ -600,6 +620,7 @@ MALFORMED_ARGV = [
     ("ber-sweep --betas 1.0,0.5,1 --out {d}/x.csv", 1),
     ("ber-sweep --snr 0 --out {d}/x.csv", 2),
     ("ber-sweep --bw 250000 --out {d}/x.csv", 2),
+    ("ber-sweep --betas 0.5 --snr-start 1000000 --snr-stop 1000000 --snr-step 1e-12 --trials 10 --out {d}/x.csv", 1),
     ("calibrate --target-ser 0 --out {d}/x.csv", 1),
     ("calibrate --target-ser -0.5 --out {d}/x.csv", 1),
     ("calibrate --target-ser 1.5 --out {d}/x.csv", 1),

@@ -11,7 +11,7 @@ from chirplab.experiments import (
     run_ber_sweep,
     run_peak_experiment,
 )
-from chirplab.montecarlo import STREAM_VERSION
+from chirplab.montecarlo import MAX_SNR_POINTS, STREAM_VERSION, snr_grid
 
 
 def peak_cfg(**kwargs):
@@ -45,10 +45,36 @@ class TestExperimentConfig:
         # repeats count after normalizing: 7.0 is sf 7, 1 is beta 1.0
         dict(sf_list=(7, 7.0)),
         dict(beta_list=(1, 0.5, 1.0)),
+        # more than MAX_SNR_POINTS points, and a step too small to keep the points apart as floats
+        dict(snr_start_db=0.0, snr_stop_db=1.0, snr_step_db=1e-300),
+        dict(snr_start_db=1e6, snr_stop_db=1e6, snr_step_db=1e-12),
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             peak_cfg(**kwargs)
+
+    @pytest.mark.parametrize("grid", [(-30.0, 5.0, 0.5), (-10.5, -7.0, 0.5), (0.0, 0.3, 0.1), (-6160.0, -6160.0, 0.5),
+                                      (300.0, 300.0, 0.5), (-1.0, 1.0, 0.1), (0.0, 1.0, 1 / 3), (1e6, 1e6 + 1, 0.25)])
+    def test_snr_grid_keeps_the_points_of_its_loop(self, grid):
+        start, stop, step = grid
+        want = []
+        while start + len(want) * step <= stop + 1e-9:
+            want.append(start + len(want) * step)
+        assert snr_grid(*grid) == want
+
+    def test_snr_grid_holds_at_most_max_snr_points(self):
+        assert len(snr_grid(0.0, MAX_SNR_POINTS - 1.0, 1.0)) == MAX_SNR_POINTS
+        for start, stop, step in ((0.0, float(MAX_SNR_POINTS), 1.0), (0.0, 0.0, 1e-300), (-1e308, 1e308, 1.0)):
+            with pytest.raises(ValueError, match=f"at most {MAX_SNR_POINTS} points"):
+                snr_grid(start, stop, step)
+
+    def test_snr_grid_rejects_points_no_float_tells_apart(self):
+        # the loop would give 1106 points at 1e6 dB, only 10 of them distinct
+        with pytest.raises(ValueError, match="apart as floats"):
+            snr_grid(1e6, 1e6, 1e-12)
+        # a step of a few ulps at 1e6 dB still keeps its points apart
+        grid = snr_grid(1e6, 1e6 + 1e-9, 1e-9)
+        assert len(set(grid)) == len(grid) > 1
 
     def test_grid_values_take_their_types(self):
         cfg = peak_cfg(sf_list=(7.0, np.int64(9)), beta_list=(1, 0.5))

@@ -39,6 +39,32 @@ def make_frame(payload, beta, preamble_len=8, params=SF7):
     return spec, build_frame(spec, params)
 
 
+# the preamble rule, framing.check_preamble_len, at each site that takes a preamble_len (on a 1-upchirp frame)
+PREAMBLE_LEN_SITES = {
+    "FrameSpec": lambda v: FrameSpec(payload=(1,), rf=FULL_PERIOD, preamble_len=v),
+    "detect_preamble": lambda v: detect_preamble(make_frame([1], 0.5, 1)[1], SF7, v),
+    "decode_frame": lambda v: decode_frame(make_frame([1], 0.5, 1)[1], 0, SF7, v),
+}
+
+
+@pytest.mark.parametrize("value", [65536, 10 ** 20])
+@pytest.mark.parametrize("site", PREAMBLE_LEN_SITES)
+def test_preamble_len_beyond_16_bits_is_rejected(site, value):
+    with pytest.raises(ValueError, match=f"preamble_len must be <= 65535, got {value}$"):
+        PREAMBLE_LEN_SITES[site](value)
+
+
+def test_preamble_len_of_16_bits_is_a_frame_shape():
+    spec = FrameSpec(payload=(1,), rf=FULL_PERIOD, preamble_len=np.int64(65535))
+    assert time_on_air(spec, SF7).preamble_samples == 65535 * 128 + 2 * 128 + 32
+    assert framing.check_preamble_len(np.int64(65535)) == 65535
+    # too long for this 1-upchirp frame, so not found and not decodable, but not rejected
+    with pytest.raises(PreambleNotFoundError):
+        PREAMBLE_LEN_SITES["detect_preamble"](65535)
+    with pytest.raises(LengthMismatchError):
+        PREAMBLE_LEN_SITES["decode_frame"](65535)
+
+
 class TestBuildFrame:
     def test_empty_payload_sample_count(self):
         _, buf = make_frame([], 1.0)
