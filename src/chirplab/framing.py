@@ -27,7 +27,7 @@ from .chirps import (
     _symbol_values,
     check_integer,
 )
-from .modem import DemodResult, _peak_and_floor, _window_spectra, demodulate, modulate
+from .modem import DemodResult, _peak_and_floor, _symbol_windows, _window_spectra, decide_symbols, demodulate, modulate
 
 DEFAULT_PREAMBLE_LEN = 8
 # The preamble lengths a frame may have: those of the 16-bit preamble length that LoRa transceivers carry.
@@ -97,9 +97,8 @@ class FrameSpec:
 
 @dataclass(frozen=True)
 class FrameDiagnostics:
-    """The demodulation records of a decoded frame: one for the 3 header windows, one for the payload's."""
+    """The demodulation record of a decoded frame's payload windows; the header is decided by argmax alone."""
 
-    header: DemodResult
     payload: DemodResult
 
 
@@ -176,8 +175,11 @@ def _screen_windows(samples: np.ndarray, n: int, first: int, stop: int) -> np.nd
         np.copyto(padded_power[: len(chunk)], power, where=finite)
         chunk, power = padded, padded_power
     chunk, power = chunk.reshape(blocks + 1, n), power.reshape(blocks + 1, n)
+    # the transforms and the template product run in place on the fresh segments
     segments = np.concatenate((chunk[:-1], chunk[1:]), axis=1)
-    corr = np.fft.ifft(np.fft.fft(segments, axis=1) * _screen_template(n), axis=1)[:, :n]
+    np.fft.fft(segments, axis=1, out=segments)
+    segments *= _screen_template(n)
+    corr = np.fft.ifft(segments, axis=1, out=segments)[:, :n]
     energy = power[:-1, ::-1].cumsum(axis=1)[:, ::-1]
     energy[:, 1:] += power[1:, :-1].cumsum(axis=1)
     bound = SCREEN_ENERGY_FRACTION * max(1.0, 2.0 / (1.0 + PREAMBLE_PEAK_RATIO ** -2))
@@ -246,12 +248,16 @@ def detect_preamble(buf: IqBuffer, params: LoraParams,
 
 def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
                  preamble_len: int = DEFAULT_PREAMBLE_LEN) -> tuple[list[int], ReductionFactor, FrameDiagnostics]:
-    """Decode header and payload of a frame whose preamble starts at offset, an integer >= 0."""
+    """Decode header and payload of a frame whose preamble starts at offset, an integer >= 0.
+
+    The three header windows are decided by argmax alone; only the payload gets a demodulation record.
+    Both take their windows by modem's one window rule, so a cut or non-finite header raises as demodulate does.
+    """
     n = params.n
     offset, preamble_len = check_integer("offset", offset, 0), check_preamble_len(preamble_len)
     header_start = offset + _preamble_samples(preamble_len, n)
-    header = demodulate(IqBuffer(buf.samples[header_start:], params.bw), params, FULL_PERIOD, 3)
-    length_sym, beta_sym, checksum_sym = header.symbols.tolist()
+    header = decide_symbols(_symbol_windows(buf.samples[header_start:], params, FULL_PERIOD, 3), params)
+    length_sym, beta_sym, checksum_sym = header.tolist()
     if (length_sym + beta_sym) % n != checksum_sym:
         raise ChecksumMismatchError(
             f"header checksum {checksum_sym} != ({length_sym} + {beta_sym}) mod {n}"
@@ -260,7 +266,7 @@ def decode_frame(buf: IqBuffer, offset: int, params: LoraParams,
         raise UnknownBetaIndexError(f"beta index {beta_sym} outside table of {len(BETA_TABLE)} entries")
     rf = ReductionFactor.from_index(beta_sym)
     payload = demodulate(IqBuffer(buf.samples[header_start + 3 * n:], params.bw), params, rf, length_sym)
-    return payload.symbols.tolist(), rf, FrameDiagnostics(header=header, payload=payload)
+    return payload.symbols.tolist(), rf, FrameDiagnostics(payload=payload)
 
 
 def time_on_air(spec: FrameSpec, params: LoraParams) -> AirtimeReport:

@@ -50,24 +50,28 @@ def read_sidecar(path) -> dict:
 
     A sidecar that is missing, not UTF-8 or repeats a key, a foreign format
     or beta_table, or a value no capture can carry raises IqFormatError.
+    The file is read and decoded whole, then split into lines as text mode
+    splits them: at CR LF, a lone CR and LF only, so a form feed, U+0085 or
+    U+2028 stays inside its line (str.splitlines would end the line there).
     """
     meta_path = sidecar_path(path)
     meta = {}
     try:
-        with open(meta_path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(map(str.strip, handle), 1):
-                if not line or line[0] == "#":
-                    continue
-                if "=" not in line:
-                    raise IqFormatError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
-                key, value = map(str.strip, line.split("=", 1))
-                if key in meta:
-                    raise IqFormatError(f"{meta_path}:{lineno}: key '{key}' repeated")
-                meta[key] = value
+        with open(meta_path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except (FileNotFoundError, NotADirectoryError):
         raise IqFormatError(f"missing sidecar {meta_path}") from None
     except UnicodeDecodeError:
         raise IqFormatError(f"{meta_path}: not UTF-8 text") from None
+    for lineno, line in enumerate(map(str.strip, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")), 1):
+        if not line or line[0] == "#":
+            continue
+        if "=" not in line:
+            raise IqFormatError(f"{meta_path}:{lineno}: expected key=value, got {line!r}")
+        key, value = map(str.strip, line.split("=", 1))
+        if key in meta:
+            raise IqFormatError(f"{meta_path}:{lineno}: key '{key}' repeated")
+        meta[key] = value
     for key, supported in (("format", FORMAT_VERSION), ("beta_table", BETA_TABLE_VERSION)):
         if key in meta and meta[key] != supported:
             raise IqFormatError(f"{meta_path}: {key}={meta[key]} is not the supported {supported}")
@@ -87,6 +91,8 @@ def read_sidecar(path) -> dict:
 def read_iq(path, sample_rate: float) -> IqBuffer:
     """Read a cf32 capture into one complex128 array sized from the open file, _BLOCK_SAMPLES samples at a time.
 
+    Each piece is read straight into one reused complex64 staging array, then widened into its slice.
+
     IqFormatError for a dangling half-sample, or a file that does not hold the size it had when opened (a pipe).
     """
     try:
@@ -95,12 +101,13 @@ def read_iq(path, sample_rate: float) -> IqBuffer:
             if size % 8 != 0:
                 raise IqFormatError(f"{path}: size is not a multiple of 8 bytes (float32 I/Q pairs)")
             samples = np.empty(size // 8, dtype=np.complex128)
+            staging = np.empty(min(samples.size, _BLOCK_SAMPLES), dtype="<c8")
             for lo in range(0, samples.size, _BLOCK_SAMPLES):
                 part = samples[lo: lo + _BLOCK_SAMPLES]
-                piece = handle.read(8 * part.size)
-                if len(piece) != 8 * part.size:
+                piece = staging[: part.size]
+                if handle.readinto(piece) != 8 * part.size:
                     raise IqFormatError(f"{path}: ended before the {size} bytes it reported")
-                part[...] = np.frombuffer(piece, dtype="<c8")
+                part[...] = piece
             if handle.read(1):
                 raise IqFormatError(f"{path}: holds more than the {size} bytes it reported")
     except (FileNotFoundError, NotADirectoryError):

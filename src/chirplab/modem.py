@@ -66,12 +66,11 @@ def _window_spectra(windows: np.ndarray, params: LoraParams) -> np.ndarray:
     return np.abs(np.fft.fft(windows * _downchirp(n, windows.shape[1]), n=n, axis=1))
 
 
-# No caller in src/: it stays only because perfbench/tracer.py wraps montecarlo.decide_symbols (ROADMAP item 8).
 def decide_symbols(windows: np.ndarray, params: LoraParams) -> np.ndarray:
     """Hard symbol decisions for a (count, m) block: argmax bin per window.
 
     Same dechirp/transform/argmax pipeline as demodulate, without the
-    peak statistics.
+    peak statistics: a frame's header needs its symbols only.
     """
     mags = _window_spectra(windows, params)
     return mags.argmax(axis=1)
@@ -98,6 +97,25 @@ def _peak_and_floor(mags: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return bins, peaks, floors, peaks / np.maximum(floors, NOISE_FLOOR_MIN)
 
 
+def _symbol_windows(samples: np.ndarray, params: LoraParams, rf: ReductionFactor, count: int) -> np.ndarray:
+    """The one window rule: the count consecutive m-sample windows that open samples, as a (count, m) view.
+
+    LengthMismatchError if samples is shorter than them; ValueError if a window holds a sample that is not
+    finite, naming the first such window. All count windows are checked in one reduction, and no sample
+    past them is read.
+    """
+    m = rf.m(params)
+    if len(samples) < count * m:
+        raise LengthMismatchError(
+            f"buffer has {len(samples)} samples, need {count * m} for {count} symbols at beta={rf.beta}"
+        )
+    windows = samples[: count * m].reshape(count, m)
+    finite = np.isfinite(windows)
+    if not finite.all():
+        raise ValueError(f"symbol window {finite.all(axis=1).argmin()} of {count} holds a non-finite sample")
+    return windows
+
+
 def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: int) -> DemodResult:
     """Slice buf into count consecutive m-sample windows and decode them into one DemodResult of count entries.
 
@@ -109,17 +127,9 @@ def demodulate(buf: IqBuffer, params: LoraParams, rf: ReductionFactor, count: in
     stay bounded on long captures; each window's result does not depend on the block it falls in.
     """
     count = check_integer("count", count, 0)
-    m = rf.m(params)
-    if len(buf) < count * m:
-        raise LengthMismatchError(
-            f"buffer has {len(buf)} samples, need {count * m} for {count} symbols at beta={rf.beta}"
-        )
-    windows = buf.samples[: count * m].reshape(count, m)
-    finite = np.isfinite(windows)
-    if not finite.all():
-        raise ValueError(f"symbol window {finite.all(axis=1).argmin()} of {count} holds a non-finite sample")
+    windows = _symbol_windows(buf.samples, params, rf, count)
     block = max(1, _BLOCK_SAMPLES // params.n)
-    if count <= block:  # one block, a frame's header or payload: its columns are the record's
+    if count <= block:  # one block, such as a frame's payload: its columns are the record's
         symbols, peaks, floors, ratios = _peak_and_floor(_window_spectra(windows, params))
     else:
         symbols = np.empty(count, dtype=np.intp)

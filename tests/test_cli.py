@@ -126,6 +126,29 @@ class TestIqFile:
             iqfile.read_sidecar(path)
 
 
+    def test_sidecar_lines_follow_text_mode(self, tmp_path):
+        """CR LF, a lone CR and LF end a line; a form feed, U+0085 or U+2028 inside a value does not."""
+        path = tmp_path / "capture.cf32"
+        path.write_bytes(b"")
+        meta = Path(iqfile.sidecar_path(path))
+        meta.write_bytes("# made by hand\r\nsf=7\r\n\r\n   \rbw=125000.0\rff=a\x0cb=c\n"
+                         "nel=a\x85b=c\nls=a\u2028b=c\n#x=1\n  note = kept  ".encode("utf-8"))
+        assert iqfile.read_sidecar(path) == {"sf": 7, "bw": 125000.0, "ff": "a\x0cb=c", "nel": "a\x85b=c",
+                                              "ls": "a\u2028b=c", "note": "kept"}
+
+    @pytest.mark.parametrize("text, lineno, line", [("sf=7\r\n\r\n# c\rjunk\n", 4, "junk"),
+                                                    ("sf=7\rbw=125000.0\r\r  junk  ", 4, "junk"),
+                                                    ("\n\n\r\njunk\x0cmore\n", 4, "junk\x0cmore"),
+                                                    ("note\x85more\u2028\n", 1, "note\x85more")])
+    def test_sidecar_malformed_line_names_its_line(self, tmp_path, text, lineno, line):
+        path = tmp_path / "capture.cf32"
+        path.write_bytes(b"")
+        Path(iqfile.sidecar_path(path)).write_bytes(text.encode("utf-8"))
+        message = f"{iqfile.sidecar_path(path)}:{lineno}: expected key=value, got {line!r}"
+        with pytest.raises(iqfile.IqFormatError, match=f"^{re.escape(message)}$"):
+            iqfile.read_sidecar(path)
+
+
 class TestModDemod:
     def test_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "syms.cf32"
@@ -300,6 +323,18 @@ class TestFrameCommands:
         iqfile.write_iq(path, IqBuffer(noise, SF7.bw), {"sf": 7, "bw": 125000.0})
         code, _, _ = run(capsys, "frame-decode", "--in", path)
         assert code == cli.EXIT_NO_PREAMBLE
+
+    # a frame of payload (1, 2, 3) at beta 0.5: its header starts at sample 1312, its payload at 1696
+    @pytest.mark.parametrize("end, message", [
+        (1312, "buffer has 0 samples, need 384 for 3 symbols at beta=1.0"),
+        (1312 + 200, "buffer has 200 samples, need 384 for 3 symbols at beta=1.0"),
+        (1696 + 100, "buffer has 100 samples, need 192 for 3 symbols at beta=0.5"),
+    ], ids=["at-header", "inside-header", "inside-payload"])
+    def test_capture_cut_short_exits_4_with_the_window_rule_message(self, tmp_path, capsys, end, message):
+        path = tmp_path / "cut.cf32"
+        frame = build_frame(FrameSpec(payload=(1, 2, 3), rf=ReductionFactor(0.5)), SF7)
+        iqfile.write_iq(path, IqBuffer(frame.samples[:end], SF7.bw), {"sf": 7, "bw": 125000.0, "preamble_len": 8})
+        assert run(capsys, "frame-decode", "--in", path) == (cli.EXIT_LENGTH_MISMATCH, "", f"error: {message}\n")
 
     def test_checksum_exit_code(self, tmp_path, capsys):
         n = 128

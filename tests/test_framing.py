@@ -24,7 +24,7 @@ from chirplab.framing import (
     time_on_air,
     time_saving,
 )
-from chirplab.modem import LengthMismatchError, _window_spectra, modulate
+from chirplab.modem import LengthMismatchError, _window_spectra, decide_symbols, modulate
 
 from oracles import exhaustive_detect_preamble, screen_statistics
 
@@ -408,7 +408,10 @@ class TestDecodeFrame:
         decoded, rf, diag = decode_frame(buf, 0, params)
         assert decoded == payload
         assert rf.beta == beta
-        assert diag.header.symbols.tolist() == list(spec.header_symbols(params))
+        # the header windows, right after the preamble, decide to the header symbols
+        header_start = framing._preamble_samples(spec.preamble_len, params.n)
+        header = buf.samples[header_start: header_start + 3 * params.n].reshape(3, params.n)
+        assert decide_symbols(header, params).tolist() == list(spec.header_symbols(params))
         assert len(diag.payload) == len(payload)
 
     def test_thousand_random_specs_across_grid(self):
