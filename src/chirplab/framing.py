@@ -175,7 +175,7 @@ def _screen_windows(samples: np.ndarray, n: int, first: int, stop: int) -> np.nd
         np.copyto(padded_power[: len(chunk)], power, where=finite)
         chunk, power = padded, padded_power
     chunk, power = chunk.reshape(blocks + 1, n), power.reshape(blocks + 1, n)
-    # the transforms and the template product run in place on the fresh segments
+    # segments is a fresh array, so both transforms and the product overwrite it: no 2n-wide temporaries per call
     segments = np.concatenate((chunk[:-1], chunk[1:]), axis=1)
     np.fft.fft(segments, axis=1, out=segments)
     segments *= _screen_template(n)

@@ -63,7 +63,8 @@ def read_sidecar(path) -> dict:
         raise IqFormatError(f"missing sidecar {meta_path}") from None
     except UnicodeDecodeError:
         raise IqFormatError(f"{meta_path}: not UTF-8 text") from None
-    for lineno, line in enumerate(map(str.strip, text.replace("\r\n", "\n").replace("\r", "\n").split("\n")), 1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(map(str.strip, lines), 1):
         if not line or line[0] == "#":
             continue
         if "=" not in line:

@@ -125,7 +125,6 @@ class TestIqFile:
         with pytest.raises(iqfile.IqFormatError, match=f"{key}={value} is not a value"):
             iqfile.read_sidecar(path)
 
-
     def test_sidecar_lines_follow_text_mode(self, tmp_path):
         """CR LF, a lone CR and LF end a line; a form feed, U+0085 or U+2028 inside a value does not."""
         path = tmp_path / "capture.cf32"
