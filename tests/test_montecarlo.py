@@ -2,6 +2,7 @@
 import faulthandler
 import sys
 import threading
+import time
 from math import comb, erfc, log, sqrt
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from chirplab import montecarlo
 from chirplab.channel import noise_scale
 from chirplab.chirps import BETA_TABLE, LoraParams, ReductionFactor
-from chirplab.montecarlo import TAG_BER, TAG_CALIBRATION, peak_statistics, run_error_trials, symbol_error_rate
+from chirplab.montecarlo import (TAG_BER, TAG_CALIBRATION, derive_rng, peak_statistics, run_error_trials,
+                                 symbol_error_rate)
 
 from oracles import (
     analytic_ber,
@@ -225,11 +227,12 @@ def assert_serial_bytes(rows, params, rf, snrs, trials, seed):
 @pytest.mark.parametrize("sf", [7, 10, 12])
 @pytest.mark.parametrize("beta", [beta for beta in BETA_TABLE if beta < 1.0])
 def test_pipelined_trials_match_the_serial_loop(sf, beta):
-    # trial counts around the chunk size cover a partial last chunk and a run with nothing drawn ahead
+    # trial counts around one and two chunks cover a partial last chunk and runs that end inside the two
+    # primed requests, with nothing or one chunk drawn ahead
     params, rf = LoraParams(sf=sf, bw=125e3), ReductionFactor(beta)
     chunk = max(1, (1 << 15) >> sf)
     for snrs in ([-10.0], [-20.0, -10.0, 0.0, 10.0]):
-        for trials in (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 5):
             rows = list(montecarlo._received(params, rf, snrs, trials, 5, TAG_BER))
             assert len(rows) == len(snrs) * -(-trials // chunk)
             assert_serial_bytes(rows, params, rf, snrs, trials, 5)
@@ -391,27 +394,47 @@ class DrawFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing_draw", [0, 2])  # the first chunk's draw, and one drawn ahead
+class CountingGenerator:
+    """A derive_rng stand-in that counts its noise draws and fails every one after the first `good`."""
+
+    good, error = float("inf"), None
+
+    def __init__(self, *key):
+        self.rng, self.draws = derive_rng(*key), 0
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def standard_normal(self, size):
+        self.draws += 1
+        if self.draws > self.good:
+            raise self.error
+        return self.rng.standard_normal(size)
+
+
+def test_the_worker_draws_two_chunks_ahead_and_no_further(no_hang):
+    # holding chunk 0, the caller has asked for chunks 1 and 2 and no more, which bounds the normals alive
+    rng = CountingGenerator(0, TAG_BER, 7, 0.5)
+    received = montecarlo._truncated_trials(rng, 128, 64, [1.0], 100_000)
+    next(received)
+    deadline = time.monotonic() + 30
+    while rng.draws < 3 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert rng.draws == 3
+    time.sleep(0.2)
+    assert rng.draws == 3
+    received.close()
+
+
+# the first chunk's draw, the second primed one, and one requested after a chunk was taken
+@pytest.mark.parametrize("failing_draw", [0, 1, 2])
 def test_a_draw_error_reaches_the_caller_as_itself(monkeypatch, no_hang, failing_draw):
-    error = DrawFailed()
-    derive_rng = montecarlo.derive_rng
-
-    class FailingGenerator:
-        def __init__(self, *key):
-            self.rng, self.draws = derive_rng(*key), 0
-
-        def integers(self, *args):
-            return self.rng.integers(*args)
-
-        def standard_normal(self, size):
-            self.draws += 1
-            if self.draws > failing_draw:
-                raise error
-            return self.rng.standard_normal(size)
+    class FailingGenerator(CountingGenerator):
+        good, error = failing_draw, DrawFailed()
 
     monkeypatch.setattr(montecarlo, "derive_rng", FailingGenerator)
     baseline = threading.active_count()
     with pytest.raises(DrawFailed) as raised:
         run_error_trials(LoraParams(sf=7, bw=125e3), ReductionFactor(0.5), [0.0], 1000, 0)  # 4 chunks
-    assert raised.value is error
+    assert raised.value is FailingGenerator.error
     assert threading.active_count() == baseline
