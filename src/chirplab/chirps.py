@@ -25,9 +25,9 @@ _BLOCK_SAMPLES = 1 << 17
 
 
 def check_integer(name: str, value, minimum: int) -> int:
-    """The one integer rule: value as an int; ValueError unless it is an integer (not 2.0, not "2") >= minimum."""
-    # a plain int skips the abstract-class check, the slow part of this rule
-    if type(value) is not int and not isinstance(value, numbers.Integral):
+    """The one integer rule: value as an int; ValueError unless it is an integer (not 2.0, "2" or True) >= minimum."""
+    # a plain int skips the abstract-class check, the slow part of this rule; a bool is Integral but no count
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

@@ -23,12 +23,16 @@ any number of SNR points (the calibration search scores a block of its grid
 per pass). Below beta = 1, chunks hold max(1, 2**15 // n) trials (256 at
 sf 7, 32 at sf 10, 8 at sf 12), so one complex array is 512 KB at every sf;
 at beta = 1 they hold 2**13 trials. The chunk sizes are part of the stream
-(STREAM_VERSION). Below beta = 1 one worker thread draws the chunks in
-stream order and is the only code that touches the generator, so no byte
-depends on thread timing. It holds two requests (_DRAWS_AHEAD): while the
-caller scores chunk k, it draws chunks k + 1 and k + 2, so a request is
-always waiting when a draw ends. That keeps one more chunk of normals alive
-than a single request would, 448 KB at beta = 0.875.
+(STREAM_VERSION). Below beta = 1 the chunks are drawn by a one-worker
+ThreadPoolExecutor, the only code that touches the generator. Its one worker
+runs submissions in order, so the submission order is the stream order and
+no byte depends on thread timing. Two draws stay submitted ahead
+(_DRAWS_AHEAD): while the caller scores chunk k, the worker draws chunks
+k + 1 and k + 2, so a draw is always queued when one ends. That keeps one
+more chunk of normals alive than a single draw ahead would, 448 KB at
+beta = 0.875. A draw's error reaches the caller as itself, and closing the
+engine cancels the queued draws and joins the worker after the draw in
+progress.
 
 Screened scoring: below beta = 1, a call with two or more SNR points scores
 a trial on its near bins alone when no other bin can win. The near set is
@@ -49,8 +53,7 @@ The screen changes no draw and no output byte.
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from collections import deque
 
 import numpy as np
 
@@ -73,7 +76,7 @@ TAG_CALIBRATION = 2
 
 _CHUNK_SAMPLES = 1 << 15
 _FULL_PERIOD_CHUNK = 1 << 13
-# draw requests the worker holds below beta = 1 (module docstring)
+# draws submitted ahead of the chunk the caller holds below beta = 1 (module docstring)
 _DRAWS_AHEAD = 2
 # screened scoring (module docstring): the near bins on each side of bin 0, and the relative margin by
 # which a trial's near peak must top the far bins' bound, which covers the rounding of both
@@ -137,45 +140,38 @@ def _truncated_trials(rng: np.random.Generator, n: int, m: int, scales, trials: 
 
     The bin magnitudes are |S + sigma * W|, with S the dechirped symbol 0
     (the n-point transform of m ones) and W the transforms of the noise, one
-    row per trial. A worker thread, the only code that touches rng, draws
-    chunks k + 1 and k + 2 while this thread transforms and scores chunk k
-    (both NumPy calls release the GIL): taking chunk k requests chunk
-    k + _DRAWS_AHEAD, so at most two chunks of normals beyond chunk k are
-    alive. An error in a draw is raised here, and closing the generator stops
-    the worker.
+    row per trial. A one-worker executor, the only code that touches rng,
+    draws chunks k + 1 and k + 2 while this thread transforms and scores
+    chunk k (both NumPy calls release the GIL): taking chunk k pops its
+    future and submits chunk k + _DRAWS_AHEAD, so at most two chunks of
+    normals beyond chunk k are alive. A draw's error is raised here as
+    itself, and closing the generator cancels the queued draws and joins the
+    worker after the draw in progress.
 
     The scoring is screened as the module docstring describes.
     """
+    # imported here: concurrent.futures loads logging, which every import of chirplab would then pay for
+    from concurrent.futures import ThreadPoolExecutor
+
     tone = np.fft.fft(np.ones(m), n=n)
     screen = len(scales) > 1
     near = np.r_[0: _NEAR + 1, n - _NEAR: n]
     far = slice(_NEAR + 1, n - _NEAR)
     near_tone, far_tone = tone[near], np.abs(tone[far]).max()
     chunk = max(1, _CHUNK_SAMPLES // n)
-    wanted, drawn = queue.SimpleQueue(), queue.SimpleQueue()
+    starts = range(0, trials, chunk)
 
-    def request(start):  # the chunk of trials from start on; 0 past the last chunk ends the worker
-        wanted.put(min(chunk, max(0, trials - start)))
+    def draw(start):  # one chunk per submission, and one worker runs them in order: the serial stream
+        count = min(chunk, trials - start)
+        return rng.integers(0, n, count), rng.standard_normal((count, m, 2))
 
-    def draw():
-        while count := wanted.get():  # one chunk per request, so the stream order is the serial one
-            try:
-                drawn.put((rng.integers(0, n, count), rng.standard_normal((count, m, 2))))
-            except BaseException as error:  # raised again on the caller's thread
-                drawn.put(error)
-
-    # a daemon, so that a generator left suspended at exit does not hold the interpreter open
-    worker = threading.Thread(target=draw, daemon=True)
-    worker.start()
-    for ahead in range(_DRAWS_AHEAD):
-        request(ahead * chunk)
+    pool = ThreadPoolExecutor(max_workers=1)
     try:
-        for done in range(0, trials, chunk):
-            item = drawn.get()
-            if isinstance(item, BaseException):
-                raise item
-            sent, normals = item
-            request(done + _DRAWS_AHEAD * chunk)
+        drawing = deque(pool.submit(draw, start) for start in starts[:_DRAWS_AHEAD])
+        for done in starts:
+            sent, normals = drawing.popleft().result()
+            if (ahead := done + _DRAWS_AHEAD * chunk) < trials:
+                drawing.append(pool.submit(draw, ahead))
             noise = np.fft.fft(normals.view(np.complex128)[..., 0], n=n, axis=1)
             if screen:
                 near_noise = noise[:, near]
@@ -195,8 +191,7 @@ def _truncated_trials(rng: np.random.Generator, n: int, m: int, scales, trials: 
                 bins = mags[0].copy() if done == 0 else None
                 yield i, sent, offsets, peaks, bins
     finally:
-        wanted.put(0)
-        worker.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _scored(noise: np.ndarray, scale: float, tone: np.ndarray):

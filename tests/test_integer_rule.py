@@ -45,7 +45,7 @@ SITES = [
     ("toa", "--ns", 0, toa),
 ]
 BAD = {"fraction": lambda minimum: 2.5, "integral float": float, "string": lambda minimum: "3",
-       "below minimum": lambda minimum: minimum - 1}
+       "bool": lambda minimum: True, "below minimum": lambda minimum: minimum - 1}
 
 
 @pytest.mark.parametrize("bad", BAD)
@@ -64,6 +64,7 @@ def test_site_accepts_a_numpy_integer_at_the_minimum(site, name, minimum, call):
                                             (3.0, "n must be an integer, got 3.0"),
                                             ("3", "n must be an integer, got '3'"),
                                             (None, "n must be an integer, got None"),
+                                            (True, "n must be an integer, got True"),
                                             (1, "n must be >= 2, got 1"),
                                             (np.int64(-4), "n must be >= 2, got -4")])
 def test_check_integer_messages(value, message):

@@ -1,5 +1,7 @@
 """The Monte-Carlo trial engine against analytic symbol error rates and the gathered-chirp engine."""
 import faulthandler
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -424,6 +426,41 @@ def test_the_worker_draws_two_chunks_ahead_and_no_further(no_hang):
     time.sleep(0.2)
     assert rng.draws == 3
     received.close()
+
+
+def test_closing_the_engine_cancels_the_draw_queued_behind_the_one_in_progress(no_hang):
+    # chunk 1's draw waits for a timer; closing meanwhile cancels chunk 2's queued draw and waits for chunk 1's
+    release = threading.Event()
+
+    class WaitingGenerator(CountingGenerator):
+        def standard_normal(self, size):
+            normals = super().standard_normal(size)
+            if self.draws == 2:
+                release.wait()
+            return normals
+
+    rng = WaitingGenerator(0, TAG_BER, 7, 0.5)
+    received = montecarlo._truncated_trials(rng, 128, 64, [1.0], 100_000)
+    next(received)
+    deadline = time.monotonic() + 30
+    while rng.draws < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    timer = threading.Timer(0.2, release.set)
+    timer.start()
+    received.close()
+    timer.join()
+    assert rng.draws == 2
+
+
+def test_a_process_that_leaves_an_engine_suspended_exits_by_itself():
+    script = ("from chirplab import chirps, montecarlo\n"
+              "received = montecarlo._received(chirps.LoraParams(sf=7, bw=125e3), chirps.ReductionFactor(0.5), "
+              "[0.0], 100_000, 0, montecarlo.TAG_BER)\n"
+              "next(received)\n")
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 # the first chunk's draw, the second primed one, and one requested after a chunk was taken
