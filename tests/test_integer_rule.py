@@ -64,9 +64,9 @@ def test_site_accepts_a_numpy_integer_at_the_minimum(site, name, minimum, call):
                                             (3.0, "n must be an integer, got 3.0"),
                                             ("3", "n must be an integer, got '3'"),
                                             (None, "n must be an integer, got None"),
-                                            (True, "n must be an integer, got True"),
                                             (1, "n must be >= 2, got 1"),
-                                            (np.int64(-4), "n must be >= 2, got -4")])
+                                            (np.int64(-4), "n must be >= 2, got -4"),
+                                            (True, "n must be an integer, got True")])
 def test_check_integer_messages(value, message):
     with pytest.raises(ValueError) as exc:
         check_integer("n", value, 2)
